@@ -63,10 +63,8 @@ def kinetic_trace(state, epsilon_scaled: bool) -> float:
 
 def pair_energy(rho: Field, potential: PowerLawPotential, n_particles: int) -> float:
     """(1/N) iint V(x-y) rho(x) rho(y) dx dy on the torus."""
-    g = rho.grid
-    v_hat = np.fft.fftn(potential.values)
-    conv = np.fft.ifftn(v_hat * np.fft.fftn(rho.values.real)).real * g.cell_volume
-    return float(g.cell_volume * np.sum(rho.values.real * conv) / n_particles)
+    conv = potential.convolve(rho.values.real)
+    return float(rho.grid.cell_volume * np.sum(rho.values.real * conv) / n_particles)
 
 
 def hls_index(alpha: float) -> float:

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.fft
 
 from hflab.lattice import (
     DenseOperator,
@@ -32,9 +32,11 @@ from hflab.lattice import (
 from hflab.potentials import PowerLawPotential
 
 GRAM_ABORT = 1e-6
-GRAM_WARN = 1e-8
 LANCZOS_TOL = 1e-13
 LANCZOS_MAX = 40
+# Exchange forms pair densities a chunk of frozen orbitals at a time, so each
+# temporary holds at most this many complex points (64 MiB) or one block.
+EXCHANGE_CHUNK_POINTS = 2**22
 
 
 @dataclass
@@ -94,68 +96,61 @@ def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
     return (inv_sqrt.T @ flat).reshape(np.asarray(orbitals).shape)
 
 
-@dataclass
-class HFFields:
-    """Mean fields of a Slater state: density (integral one) and direct potential."""
-
-    rho: Field
-    direct: Field
-
-
 def density(state: SlaterState) -> Field:
     """rho(x) = omega(x;x) / N; integrates to one."""
     rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
     return Field(state.grid, rho.astype(complex))
 
 
-def mean_fields(state: SlaterState, potential: PowerLawPotential) -> HFFields:
-    g = state.grid
-    rho = density(state)
-    v_hat = np.fft.fftn(potential.values)
-    u_vals = np.fft.ifftn(v_hat * np.fft.fftn(rho.values.real)).real * g.cell_volume
-    return HFFields(rho=rho, direct=Field(g, u_vals.astype(complex)))
-
-
-def _direct_potential(grid, orbitals, v_hat, n_particles):
+def _direct_potential(orbitals, potential, n_particles):
     rho = np.sum(np.abs(orbitals) ** 2, axis=0) / n_particles
-    return np.fft.ifftn(v_hat * np.fft.fftn(rho)).real * grid.cell_volume
+    return potential.convolve(rho)
 
 
-def _apply_mean_field(block, frozen, u_vals, v_hat, grid, n_particles):
+def _exchange(block, frozen, potential, n_particles):
+    """X applied to each row of `block`; X uses the frozen orbital set.
+
+    Pair densities conj(f_i) g_j are formed for a chunk of frozen orbitals at a
+    time, so temporaries stay O(chunk * k * M) instead of O(N * k * M).
+    """
+    chunk = max(1, EXCHANGE_CHUNK_POINTS // block.size)
+    out = np.zeros_like(block)
+    for start in range(0, frozen.shape[0], chunk):
+        f = frozen[start:start + chunk]
+        pair = potential.convolve(f.conj()[:, None] * block[None], overwrite=True)
+        out += np.einsum("i...,ij...->j...", f, pair)
+        del pair  # free this chunk's buffer before the next one is allocated
+    out /= n_particles
+    return out
+
+
+def _apply_mean_field(block, frozen, u_vals, potential, n_particles):
     """(U - X) applied to each row of `block`; X uses the frozen orbital set."""
-    axes = tuple(range(1, grid.dim + 1))
-    n_frozen = frozen.shape[0]
-    k = block.shape[0]
-    pair = frozen.conj()[:, None, ...] * block[None, :, ...]
-    pair_hat = np.fft.fftn(pair.reshape((n_frozen * k,) + grid.shape), axes=axes)
-    conv = np.fft.ifftn(v_hat[None, ...] * pair_hat, axes=axes) * grid.cell_volume
-    conv = conv.reshape((n_frozen, k) + grid.shape)
-    exch = np.einsum("i...,ij...->j...", frozen, conv) / n_particles
-    return u_vals[None, ...] * block - exch
+    return u_vals * block - _exchange(block, frozen, potential, n_particles)
+
+
+def _kinetic_multiply(block, multiplier):
+    """ifft(multiplier * fft(f)) for each row of `block`."""
+    axes = tuple(range(1, block.ndim))
+    hat = scipy.fft.fftn(block, axes=axes)
+    hat *= multiplier
+    return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
 
 
 def hf_generator(state: SlaterState, potential: PowerLawPotential) -> np.ndarray:
     """Action of -eps^2 Lap + (V * rho) - X on every orbital (stacked block)."""
     g = state.grid
     p = state.params
-    axes = tuple(range(1, g.dim + 1))
-    v_hat = np.fft.fftn(potential.values)
-    u_vals = _direct_potential(g, state.orbitals, v_hat, p.n_particles)
-    kin_mult = p.epsilon**2 * g.momentum_squared()
-    kinetic = np.fft.ifftn(kin_mult[None, ...] * np.fft.fftn(state.orbitals, axes=axes), axes=axes)
-    mean = _apply_mean_field(state.orbitals, state.orbitals, u_vals, v_hat, g, p.n_particles)
+    u_vals = _direct_potential(state.orbitals, potential, p.n_particles)
+    kinetic = _kinetic_multiply(state.orbitals, p.epsilon**2 * g.momentum_squared())
+    mean = _apply_mean_field(state.orbitals, state.orbitals, u_vals, potential, p.n_particles)
     return kinetic + mean
 
 
 def apply_exchange(state: SlaterState, potential: PowerLawPotential, f: Field) -> Field:
     """Exchange operator X f: (1/N) sum_i f_i * (V * (conj(f_i) f))."""
-    g = state.grid
-    v_hat = np.fft.fftn(potential.values)
-    out = -_apply_mean_field(
-        f.values[None, ...], state.orbitals, np.zeros(g.shape), v_hat, g,
-        state.params.n_particles,
-    )
-    return Field(g, out[0])
+    out = _exchange(f.values[None, ...], state.orbitals, potential, state.params.n_particles)
+    return Field(state.grid, out[0])
 
 
 def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOperator:
@@ -176,13 +171,32 @@ def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOp
     return DenseOperator(g, kernel * g.cell_volume)
 
 
-def _expm_mean_field(block, frozen, u_vals, v_hat, grid, n_particles, tau,
+def _small_exp(alphas, betas, tau):
+    """Rows exp(-1j tau T) e1 for a stack of symmetric tridiagonal T.
+
+    `alphas` has shape (k, m) and `betas` (k, m - 1); one stacked eigh solves
+    all k small problems.
+    """
+    k, m = alphas.shape
+    t = np.zeros((k, m, m))
+    diag = np.arange(m)
+    t[:, diag, diag] = alphas
+    t[:, diag[1:], diag[:-1]] = betas
+    t[:, diag[:-1], diag[1:]] = betas
+    vals, vecs = np.linalg.eigh(t)
+    return np.einsum("kij,kj->ki", vecs, np.exp(-1j * tau * vals) * vecs[:, 0, :])
+
+
+def _expm_mean_field(block, frozen, u_vals, potential, n_particles, tau,
                      tol=LANCZOS_TOL, max_m=LANCZOS_MAX):
     """exp(-1j * tau * (U - X)) applied to each row of `block` via Lanczos.
 
     The frozen generator is Hermitian; per-orbital tridiagonal recurrences run
-    in lockstep so the generator is applied to the whole block at once.
+    in lockstep so the generator is applied to the whole block at once.  The
+    residual estimate beta_m |tau| |e_m^T exp(-1j tau T_m) e1| (Hochbruck and
+    Lubich) stops the iteration; not reaching `tol` in `max_m` steps raises.
     """
+    grid = potential.grid
     k = block.shape[0]
     col = (k,) + (1,) * grid.dim
     norms = np.sqrt(grid.cell_volume) * np.linalg.norm(block.reshape(k, -1), axis=1)
@@ -196,22 +210,9 @@ def _expm_mean_field(block, frozen, u_vals, v_hat, grid, n_particles, tau,
             "ki,ki->k", a.reshape(k, -1).conj(), b.reshape(k, -1)
         )
 
-    def small_exp(m):
-        # columns of exp(-1j tau T_m) e1 for each orbital
-        ys = np.zeros((k, m), dtype=complex)
-        for j in range(k):
-            a = np.array([alphas[i][j] for i in range(m)])
-            b = np.array([betas[i][j] for i in range(m - 1)])
-            if m == 1:
-                ys[j, 0] = np.exp(-1j * tau * a[0])
-                continue
-            vals, vecs = eigh_tridiagonal(a, b)
-            ys[j] = vecs @ (np.exp(-1j * tau * vals) * vecs[0, :])
-        return ys
-
     for it in range(max_m):
         v = basis[-1]
-        w = _apply_mean_field(v, frozen, u_vals, v_hat, grid, n_particles)
+        w = _apply_mean_field(v, frozen, u_vals, potential, n_particles)
         if it > 0:
             w = w - betas[-1].reshape(col) * basis[-2]
         alpha = dots(v, w).real
@@ -221,18 +222,21 @@ def _expm_mean_field(block, frozen, u_vals, v_hat, grid, n_particles, tau,
         for vb in basis:
             w = w - dots(vb, w).reshape(col) * vb
         beta = np.sqrt(np.abs(dots(w, w).real))
-        ys = small_exp(it + 1)
+        ys = _small_exp(np.array(alphas).T, np.array(betas).reshape(-1, k).T, tau)
         resid = np.abs(beta * np.abs(tau)) * np.abs(ys[:, -1])
         if np.max(resid) < tol or np.max(beta) < 1e-15:
             break
         betas.append(beta)
         safe = np.where(beta > 1e-300, beta, 1.0)
         basis.append(w / safe.reshape(col))
-    m = len(alphas)
-    ys = small_exp(m)
+    else:
+        raise RuntimeError(
+            f"Lanczos did not converge in {max_m} iterations: residual "
+            f"{np.max(resid):.3e} exceeds {tol:.0e}"
+        )
     out = np.zeros(block.shape, dtype=complex)
-    for i in range(m):
-        out += ys[:, i].reshape(col) * basis[i]
+    for i, vb in enumerate(basis):
+        out += ys[:, i].reshape(col) * vb
     return out * norms.reshape(col)
 
 
@@ -248,21 +252,19 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
         raise ValueError("dt must be positive")
     g = state.grid
     p = state.params
-    axes = tuple(range(1, g.dim + 1))
     kin_phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
-    v_hat = np.fft.fftn(potential.values)
 
-    f1 = np.fft.ifftn(kin_phase[None, ...] * np.fft.fftn(state.orbitals, axes=axes), axes=axes)
+    f1 = _kinetic_multiply(state.orbitals, kin_phase)
 
     # predictor: first-order half-step of the mean-field flow fixes the midpoint
-    u1 = _direct_potential(g, f1, v_hat, p.n_particles)
-    w1 = _apply_mean_field(f1, f1, u1, v_hat, g, p.n_particles)
+    u1 = _direct_potential(f1, potential, p.n_particles)
+    w1 = _apply_mean_field(f1, f1, u1, potential, p.n_particles)
     f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * w1
 
-    u_mid = _direct_potential(g, f_mid, v_hat, p.n_particles)
-    f2 = _expm_mean_field(f1, f_mid, u_mid, v_hat, g, p.n_particles, dt / p.epsilon)
+    u_mid = _direct_potential(f_mid, potential, p.n_particles)
+    f2 = _expm_mean_field(f1, f_mid, u_mid, potential, p.n_particles, dt / p.epsilon)
 
-    f3 = np.fft.ifftn(kin_phase[None, ...] * np.fft.fftn(f2, axes=axes), axes=axes)
+    f3 = _kinetic_multiply(f2, kin_phase)
 
     out = SlaterState(g, f3, p, state.time + dt)
     defect = out.gram_defect()
@@ -308,25 +310,13 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     """tr(-eps^2 Lap) omega + (1/2N) iint V [omega(x;x) omega(y;y) - |omega(x;y)|^2]."""
     g = state.grid
     p = state.params
-    axes = tuple(range(1, g.dim + 1))
-    hat = np.fft.fftn(state.orbitals, axes=axes)
+    f = state.orbitals
+    hat = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
     kin_mult = p.epsilon**2 * g.momentum_squared()
-    kinetic = g.cell_volume * np.sum(kin_mult[None, ...] * np.abs(hat) ** 2) / g.site_count
-
-    v_hat = np.fft.fftn(potential.values)
-    rho_omega = np.sum(np.abs(state.orbitals) ** 2, axis=0)
-    u_omega = np.fft.ifftn(v_hat * np.fft.fftn(rho_omega)).real * g.cell_volume
-    direct = 0.5 / p.n_particles * g.cell_volume * np.sum(rho_omega * u_omega)
-
-    n = state.n_orbitals
-    pair = state.orbitals.conj()[:, None, ...] * state.orbitals[None, :, ...]
-    pair_hat = np.fft.fftn(pair.reshape((n * n,) + g.shape), axes=axes)
-    conv = np.fft.ifftn(v_hat[None, ...] * pair_hat, axes=axes) * g.cell_volume
-    conv = conv.reshape((n, n) + g.shape)
-    exch = 0.5 / p.n_particles * g.cell_volume * np.real(
-        np.sum(pair.conj() * conv)
-    )
-    return float(kinetic + direct - exch)
+    kinetic = g.cell_volume * np.sum(kin_mult * np.abs(hat) ** 2) / g.site_count
+    u_vals = _direct_potential(f, potential, p.n_particles)
+    mean = _apply_mean_field(f, f, u_vals, potential, p.n_particles)
+    return float(kinetic + 0.5 * g.cell_volume * np.real(np.vdot(f, mean)))
 
 
 def density_matrix(state: SlaterState) -> DenseOperator:

@@ -187,13 +187,6 @@ def apply_kinetic(f: Field, params: ScaledParams) -> Field:
     return Field(f.grid, ifft(f.grid, mult * fft(f.grid, f.values)))
 
 
-def kinetic_energy(f: Field, params: ScaledParams) -> float:
-    """<f, -eps^2 Lap f>, evaluated in Fourier space (always >= 0)."""
-    hat = fft(f.grid, f.values)
-    mult = params.epsilon**2 * f.grid.momentum_squared()
-    return float(f.grid.cell_volume * np.sum(mult * np.abs(hat) ** 2) / f.grid.site_count)
-
-
 @dataclass
 class DenseOperator:
     """Explicit one-particle operator on a grid, side m^d (capped).
@@ -263,11 +256,6 @@ def hs_norm(op: DenseOperator) -> float:
 
 def identity_operator(grid: Grid) -> DenseOperator:
     return DenseOperator(grid, np.eye(grid.site_count, dtype=complex))
-
-
-def multiplication_operator(grid: Grid, values: np.ndarray) -> DenseOperator:
-    """Diagonal operator multiplying pointwise by `values`."""
-    return DenseOperator(grid, np.diag(np.asarray(values, dtype=complex).reshape(-1)))
 
 
 def spectral_multiplier_operator(grid: Grid, multiplier: np.ndarray) -> DenseOperator:

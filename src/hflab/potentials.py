@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from scipy.special import gamma
 
-from hflab.lattice import Field, Grid, fft, ifft
+from hflab.lattice import Field, Grid
 
 
 def fdl_constant(alpha: float, dim: int) -> float:
@@ -158,6 +160,27 @@ class PowerLawPotential:
     def on_site(self) -> float:
         return float(self.grid.h ** (-self.alpha))
 
+    @cached_property
+    def v_hat(self) -> np.ndarray:
+        """fftn(V), computed once; V(x) = V(-x) on the torus, so it is real."""
+        return scipy.fft.fftn(self.values).real
+
+    def convolve(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """h^d sum_y V(x-y) f(y) over the trailing grid axes of `values`.
+
+        Real input takes the rfftn path and returns a real array.  Complex input
+        returns a complex array; with `overwrite` its buffer is reused.
+        """
+        g = self.grid
+        axes = tuple(range(-g.dim, 0))
+        if np.isrealobj(values):
+            hat = scipy.fft.rfftn(values, axes=axes)
+            hat *= self.v_hat[..., : g.m // 2 + 1] * g.cell_volume
+            return scipy.fft.irfftn(hat, s=g.shape, axes=axes, overwrite_x=True)
+        hat = scipy.fft.fftn(values, axes=axes, overwrite_x=overwrite)
+        hat *= self.v_hat * g.cell_volume
+        return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
+
 
 def power_law_potential(grid: Grid, alpha: float) -> PowerLawPotential:
     if not 0.0 < alpha <= 1.0:
@@ -193,7 +216,5 @@ def convolve_potential(rho: Field, potential: PowerLawPotential) -> Field:
     scale = max(1.0, float(np.max(np.abs(rho.values))))
     if imag_max > 1e-10 * scale:
         raise ValueError("density must be real within 1e-10 relative")
-    g = rho.grid
-    v_hat = fft(g, potential.values.astype(complex))
-    out = ifft(g, v_hat * fft(g, rho.values)) * g.cell_volume
-    return Field(g, out.real.astype(complex))
+    out = potential.convolve(rho.values.real)
+    return Field(rho.grid, out.astype(complex))

@@ -18,7 +18,6 @@ from hflab.lattice import (
     DenseOperator,
     Field,
     absolute_value,
-    operator_norms,
     spectral_multiplier_operator,
 )
 
@@ -153,40 +152,6 @@ def maximal_function(rho: Field) -> Field:
         avg = avg / float((2 * w + 1) ** g.dim)
         best = np.maximum(best, avg)
     return Field(g, best.astype(complex))
-
-
-@dataclass
-class CommutatorReport:
-    """Per-axis commutator diagnostics of a one-particle projection."""
-
-    axis: int
-    convention: str
-    position_trace_norm: float
-    momentum_trace_norm: float
-    density_l1: float
-    density_lp: float
-    lp_exponent: float
-
-
-def commutator_report(omega: DenseOperator, epsilon: float,
-                      config: DiagnosticsConfig) -> list:
-    rows = []
-    for axis in range(omega.grid.dim):
-        pos = commutator_position(omega, axis, config.position_convention)
-        mom = commutator_momentum(omega, axis, epsilon)
-        dens = diagonal_density(absolute_value(pos))
-        rows.append(
-            CommutatorReport(
-                axis=axis,
-                convention=config.position_convention,
-                position_trace_norm=operator_norms(pos)["trace_norm"],
-                momentum_trace_norm=operator_norms(mom)["trace_norm"],
-                density_l1=field_lp_norm(dens, 1.0),
-                density_lp=field_lp_norm(dens, config.lp_exponent),
-                lp_exponent=config.lp_exponent,
-            )
-        )
-    return rows
 
 
 @dataclass

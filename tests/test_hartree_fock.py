@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from hflab import hartree_fock as hf
 from hflab.hartree_fock import (
     SlaterState,
     apply_exchange,
@@ -13,13 +17,12 @@ from hflab.hartree_fock import (
     hs_distance_squared,
     load_checkpoint,
     loewdin_orthonormalize,
-    mean_fields,
     run_hf,
     save_checkpoint,
     slater_state,
 )
 from hflab.lattice import Field, Grid, ScaledParams, apply_kinetic, inner
-from hflab.potentials import power_law_potential
+from hflab.potentials import convolve_potential, power_law_potential
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, plane_wave, random_slater
 
 
@@ -181,8 +184,8 @@ def test_density_fields():
     rho = density(st)
     assert np.min(rho.values.real) >= 0.0
     assert g.cell_volume * np.sum(rho.values.real) == pytest.approx(1.0, abs=1e-10)
-    fields = mean_fields(st, power_law_potential(g, 0.5))
-    assert np.max(np.abs(fields.direct.values.imag)) < 1e-12
+    direct = convolve_potential(rho, power_law_potential(g, 0.5))
+    assert np.max(np.abs(direct.values.imag)) < 1e-12
 
 
 def test_density_matrix_projection():
@@ -276,3 +279,89 @@ def test_step_rejects_bad_dt():
     st = random_slater(g, p, rng)
     with pytest.raises(ValueError):
         hf_step(st, power_law_potential(g, 0.5), -0.1)
+
+
+def test_chunked_exchange_matches_dense_kernel(monkeypatch):
+    # one frozen orbital per chunk against the dense (1/N) V(x-y) omega(x;y) kernel
+    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", 1)
+    g = Grid(2, 8)
+    p = ScaledParams(4, 0.5)
+    pot = power_law_potential(g, 0.5)
+    rng = np.random.default_rng(11)
+    st = random_slater(g, p, rng)
+    f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    via_dense = exchange_kernel(st, pot).apply(f).values
+    via_conv = apply_exchange(st, pot, f).values
+    assert np.max(np.abs(via_conv - via_dense)) <= 1e-12 * np.max(np.abs(via_dense))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stacked_small_exp_matches_per_orbital_tridiagonal(m):
+    rng = np.random.default_rng(12 + m)
+    k, tau = 5, 0.7
+    alphas = rng.standard_normal((k, m))
+    betas = np.abs(rng.standard_normal((k, m - 1))) + 0.1
+    ys = hf._small_exp(alphas, betas, tau)
+    for j in range(k):
+        if m == 1:
+            ref = np.exp(-1j * tau * alphas[j])
+        else:
+            vals, vecs = eigh_tridiagonal(alphas[j], betas[j])
+            ref = vecs @ (np.exp(-1j * tau * vals) * vecs[0, :])
+        assert np.max(np.abs(ys[j] - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("dim,m,n", [(1, 32, 3), (3, 8, 4)])
+def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
+    g = Grid(dim, m)
+    p = ScaledParams(n, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = random_slater(g, p, np.random.default_rng(20 + dim))
+    # explicit formula: kinetic + (1/2N) h^d sum [rho (V*rho) - conj(pair) (V*pair)]
+    axes = tuple(range(1, dim + 1))
+    f = st.orbitals
+    kin_mult = p.epsilon**2 * g.momentum_squared()
+    hat = np.fft.fftn(f, axes=axes)
+    kinetic = g.cell_volume * np.sum(kin_mult * np.abs(hat) ** 2) / g.site_count
+    v_hat = np.fft.fftn(pot.values)
+    rho = np.sum(np.abs(f) ** 2, axis=0)
+    u = np.fft.ifftn(v_hat * np.fft.fftn(rho)).real * g.cell_volume
+    direct = 0.5 / n * g.cell_volume * np.sum(rho * u)
+    pair = f.conj()[:, None] * f[None, :]
+    pair_axes = tuple(range(2, dim + 2))
+    conv = np.fft.ifftn(v_hat * np.fft.fftn(pair, axes=pair_axes), axes=pair_axes)
+    exch = 0.5 / n * g.cell_volume**2 * np.real(np.sum(pair.conj() * conv))
+    expected = kinetic + direct - exch
+    assert hf_energy(st, pot) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lanczos_raises_when_not_converged():
+    g = Grid(1, 64)
+    p = ScaledParams(4, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = packet_slater(g, p)
+    f = st.orbitals
+    u = hf._direct_potential(f, pot, p.n_particles)
+    with pytest.raises(RuntimeError, match="residual"):
+        hf._expm_mean_field(f, f, u, pot, p.n_particles, 1e-2 / p.epsilon, max_m=2)
+
+
+def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
+    budget = 2**18
+    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+    g = Grid(3, 16)
+    p = ScaledParams(16, 1.0)
+    pot = power_law_potential(g, 1.0)
+    st = random_slater(g, p, np.random.default_rng(30))
+    f = st.orbitals
+    u = hf._direct_potential(f, pot, p.n_particles)
+    pot.v_hat  # the transform of V is set-up, not part of one application
+    tracemalloc.start()
+    try:
+        hf._apply_mean_field(f, f, u, pot, p.n_particles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # complex128: one pair chunk plus a few orbital blocks; the unchunked pair
+    # tensor alone would be N * k * M = 2^20 points
+    assert peak <= 16 * (budget + 5 * f.size)

@@ -237,3 +237,24 @@ def test_convolution_rejects_complex_density():
     v = power_law_potential(g, 0.5)
     with pytest.raises(ValueError):
         convolve_potential(Field(g, 1j * np.ones(g.shape)), v)
+
+
+@pytest.mark.parametrize("dim,m", [(1, 6), (1, 8), (2, 6), (2, 8), (3, 6), (3, 8)])
+def test_potential_transform_is_real(dim, m):
+    # V(x) = V(-x) on the torus; m/2 odd and even place the far corner differently
+    g = Grid(dim, m)
+    v = power_law_potential(g, 0.75)
+    full = np.fft.fftn(v.values)
+    assert np.max(np.abs(full.imag)) <= 1e-12 * np.max(np.abs(full))
+    assert np.allclose(v.v_hat, full.real, rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+
+def test_transform_cache_follows_replaced_values():
+    import dataclasses
+
+    g = Grid(2, 8)
+    v = power_law_potential(g, 0.5)
+    assert v.v_hat is v.v_hat
+    zero = dataclasses.replace(v, values=np.zeros(g.shape))
+    assert np.all(zero.v_hat == 0.0)
+    assert np.max(np.abs(v.v_hat)) > 0.0
