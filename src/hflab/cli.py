@@ -133,6 +133,12 @@ def cmd_verify(args) -> int:
             result = run_scenario(cfg, sub)
         except (ValueError, RuntimeError) as exc:
             print(f"{name}: ERROR ({exc})")
+            entries.append({
+                "scenario": name,
+                "config": dataclasses.asdict(cfg),
+                "passed": False,
+                "error": f"{type(exc).__name__}: {exc}",
+            })
             all_pass = False
             continue
         entries.append(_result_entry(cfg, result))

@@ -142,6 +142,18 @@ def pair_interaction_diagonal(grid: Grid, n: int, potential: PowerLawPotential,
     return out
 
 
+def _kinetic_symbol(g: Grid, n: int, epsilon: float) -> np.ndarray:
+    """eps^2 sum_i |k_i|^2 on the (m^d)^n momentum grid of n particles."""
+    k2_axis = epsilon**2 * g.momentum_squared()
+    total = np.zeros(g.shape * n)
+    for i in range(n):
+        shape = [1] * (n * g.dim)
+        for axis in _particle_axes(g.dim, i):
+            shape[axis] = g.m
+        total = total + k2_axis.reshape(shape)
+    return total
+
+
 def nbody_step(state: NBodyState, potential: PowerLawPotential, dt: float,
                _cache: dict | None = None) -> NBodyState:
     """Strang step: half kinetic (Fourier), full interaction phase, half kinetic."""
@@ -152,13 +164,7 @@ def nbody_step(state: NBodyState, potential: PowerLawPotential, dt: float,
         _cache = {}
     key = (id(potential), dt)
     if _cache.get("key") != key:
-        k2_axis = p.epsilon**2 * g.momentum_squared()
-        total = np.zeros(g.shape * n)
-        for i in range(n):
-            shape = [1] * (n * g.dim)
-            for k, axis in enumerate(_particle_axes(g.dim, i)):
-                shape[axis] = g.m
-            total = total + k2_axis.reshape(shape)
+        total = _kinetic_symbol(g, n, p.epsilon)
         diag = pair_interaction_diagonal(g, n, potential, p.coupling)
         _cache["kin_half"] = np.exp(-1j * (dt / 2.0) * total / p.epsilon)
         _cache["int_full"] = np.exp(-1j * dt * diag / p.epsilon)
@@ -187,13 +193,7 @@ def run_nbody(state: NBodyState, potential: PowerLawPotential, dt: float,
 
 def nbody_energy(state: NBodyState, potential: PowerLawPotential) -> float:
     g, n, p = state.grid, state.n, state.params
-    k2_axis = p.epsilon**2 * g.momentum_squared()
-    total = np.zeros(g.shape * n)
-    for i in range(n):
-        shape = [1] * (n * g.dim)
-        for k, axis in enumerate(_particle_axes(g.dim, i)):
-            shape[axis] = g.m
-        total = total + k2_axis.reshape(shape)
+    total = _kinetic_symbol(g, n, p.epsilon)
     hat = np.fft.fftn(state.psi)
     w = g.cell_volume**n
     kinetic = w * np.sum(total * np.abs(hat) ** 2) / g.site_count**n

@@ -101,6 +101,25 @@ def test_verify_subset(tmp_path, capsys):
     assert manifest["runs"][0]["scenario"] == "fdl-verify"
 
 
+def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
+    def crash(cfg, out):
+        raise RuntimeError("Lanczos did not converge")
+
+    monkeypatch.setitem(SCENARIOS, "fermi-ball-1d", (crash, "crashes"))
+    code = main(
+        ["verify", "--scenarios", "fermi-ball-1d,fdl-verify", "--seed", "5",
+         "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert "fermi-ball-1d: ERROR" in capsys.readouterr().out
+    runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert [r["scenario"] for r in runs] == ["fermi-ball-1d", "fdl-verify"]
+    assert runs[0]["passed"] is False
+    assert runs[0]["error"] == "RuntimeError: Lanczos did not converge"
+    assert runs[0]["config"]["seed"] == 5
+    assert runs[1]["passed"] is True
+
+
 def test_diagnostics_toggle_disables_companion(tmp_path):
     cfg = build_config(
         "fermi-ball-1d", seed=3, overrides={"diagnostics": {"semiclassics": False}}

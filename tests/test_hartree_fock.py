@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import eigh_tridiagonal
 
 from hflab import hartree_fock as hf
@@ -295,6 +296,50 @@ def test_chunked_exchange_matches_dense_kernel(monkeypatch):
     assert np.max(np.abs(via_conv - via_dense)) <= 1e-12 * np.max(np.abs(via_dense))
 
 
+@pytest.mark.parametrize("budget", [None, 1, 512], ids=["default", "rows", "rows-chunk2"])
+def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
+    # block is the frozen set; a budget below N blocks (one or two frozen
+    # orbitals per chunk) makes it take the pair-symmetric row pass
+    if budget is not None:
+        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+    g = Grid(2, 8)
+    p = ScaledParams(4, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = random_slater(g, p, np.random.default_rng(13))
+    f = st.orbitals
+    u = hf._direct_potential(f, pot, p.n_particles)
+    got = hf._apply_mean_field(f, f, u, pot, p.n_particles)
+    dense = exchange_kernel(st, pot)
+    for j in range(p.n_particles):
+        expected = u * f[j] - dense.apply(st.orbital(j)).values
+        assert np.max(np.abs(got[j] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "budget,pairs", [(None, 25), (1, 15), (2 * 5 * 8**3, 15)], ids=["square", "rows", "rows-chunk2"]
+)
+def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
+    # N = 5 frozen orbitals: the full square transforms N^2 pair densities,
+    # the row pass only the N(N+1)/2 with j >= i, at any chunk size below N
+    if budget is not None:
+        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+    g = Grid(3, 8)
+    p = ScaledParams(5, 1.0)
+    pot = power_law_potential(g, 1.0)
+    f = random_slater(g, p, np.random.default_rng(14)).orbitals
+    pot.v_hat  # the transform of V itself is not a pair density
+    counted = []
+    fftn = scipy.fft.fftn
+
+    def spy(x, *args, **kwargs):
+        counted.append(x.size // g.site_count)
+        return fftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", spy)
+    hf._exchange(f, f, pot, p.n_particles)
+    assert sum(counted) == pairs
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_stacked_small_exp_matches_per_orbital_tridiagonal(m):
     rng = np.random.default_rng(12 + m)
@@ -347,21 +392,25 @@ def test_lanczos_raises_when_not_converged():
 
 
 def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
-    budget = 2**18
-    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
     st = random_slater(g, p, np.random.default_rng(30))
     f = st.orbitals
+    # a Lanczos block is a different orbital set acted on by the same X
+    other = random_slater(g, p, np.random.default_rng(31)).orbitals
     u = hf._direct_potential(f, pot, p.n_particles)
     pot.v_hat  # the transform of V is set-up, not part of one application
-    tracemalloc.start()
-    try:
-        hf._apply_mean_field(f, f, u, pot, p.n_particles)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # complex128: one pair chunk plus a few orbital blocks; the unchunked pair
-    # tensor alone would be N * k * M = 2^20 points
-    assert peak <= 16 * (budget + 5 * f.size)
+    # 4 frozen orbitals per chunk: pair rows for the frozen block, chunks for
+    # the other one; then one frozen orbital per chunk (pair rows)
+    for budget, block in [(2**18, f), (2**18, other), (2**16, f)]:
+        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+        tracemalloc.start()
+        try:
+            hf._apply_mean_field(block, f, u, pot, p.n_particles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # complex128: one pair chunk plus a few orbital blocks; the unchunked
+        # pair tensor alone would be N * k * M = 2^20 points
+        assert peak <= 16 * (budget + 5 * f.size)
