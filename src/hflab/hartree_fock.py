@@ -351,11 +351,18 @@ def density_matrix(state: SlaterState) -> DenseOperator:
 
 
 def hs_distance_squared(a: SlaterState, b: SlaterState) -> float:
-    """||omega_a - omega_b||_HS^2 = 2N - 2 sum |<f_i, g_j>|^2 for rank-N projections."""
+    """||omega_a - omega_b||_HS^2 for the projections of two orthonormal blocks.
+
+    Equals N_a + N_b - 2 sum |<f_i, g_j>|^2, summed here as the residuals of
+    each block off the other's span, h^d ||F_b - S F_a||^2 + h^d ||F_a - S^* F_b||^2
+    with S = h^d F_b F_a^*, so near-equal states do not cancel to rounding noise.
+    """
     fa = a.orbitals.reshape(a.n_orbitals, -1)
     fb = b.orbitals.reshape(b.n_orbitals, -1)
-    overlaps = a.grid.cell_volume * (fa.conj() @ fb.T)
-    return float(a.n_orbitals + b.n_orbitals - 2.0 * np.sum(np.abs(overlaps) ** 2))
+    overlaps = a.grid.cell_volume * (fb @ fa.conj().T)
+    off_a = fb - overlaps @ fa
+    off_b = fa - overlaps.conj().T @ fb
+    return float(a.grid.cell_volume * (np.vdot(off_a, off_a) + np.vdot(off_b, off_b)).real)
 
 
 def save_checkpoint(state: SlaterState, path) -> None:

@@ -165,6 +165,11 @@ class PowerLawPotential:
         """fftn(V), computed once; V(x) = V(-x) on the torus, so it is real."""
         return scipy.fft.fftn(self.values).real
 
+    @cached_property
+    def _scaled_v_hat(self) -> np.ndarray:
+        """h^d v_hat, the multiplier `convolve` applies, computed once."""
+        return self.v_hat * self.grid.cell_volume
+
     def convolve(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """h^d sum_y V(x-y) f(y) over the trailing grid axes of `values`.
 
@@ -175,10 +180,10 @@ class PowerLawPotential:
         axes = tuple(range(-g.dim, 0))
         if np.isrealobj(values):
             hat = scipy.fft.rfftn(values, axes=axes)
-            hat *= self.v_hat[..., : g.m // 2 + 1] * g.cell_volume
+            hat *= self._scaled_v_hat[..., : g.m // 2 + 1]
             return scipy.fft.irfftn(hat, s=g.shape, axes=axes, overwrite_x=True)
         hat = scipy.fft.fftn(values, axes=axes, overwrite_x=overwrite)
-        hat *= self.v_hat * g.cell_volume
+        hat *= self._scaled_v_hat
         return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from hflab.lattice import (
     DenseOperator,
     Field,
-    absolute_value,
     spectral_multiplier_operator,
 )
 
@@ -74,18 +73,19 @@ def commutator_position(omega: DenseOperator, axis: int,
     periodic: (L / 2 pi) * [exp(2 pi i x / L), omega], which reduces to the
     plain commutator for states far from the wrap-around seam.
     """
-    g = omega.grid
+    x, scale = _position_multiplier(omega.grid, axis, convention)
+    mat = x[:, None] * omega.matrix - omega.matrix * x[None, :]
+    return DenseOperator(omega.grid, scale * mat)
+
+
+def _position_multiplier(g, axis: int, convention: str):
+    """Diagonal (x, scale) with [X_axis, omega] = scale * [diag(x), omega]."""
     coords = g.coordinate_mesh(axis).reshape(-1)
     if convention == PLAIN:
-        x = coords
-        scale = 1.0
-    elif convention == PERIODIC:
-        x = np.exp(2j * np.pi * coords / g.length)
-        scale = g.length / (2.0 * np.pi)
-    else:
-        raise ValueError("convention must be 'plain' or 'periodic'")
-    mat = x[:, None] * omega.matrix - omega.matrix * x[None, :]
-    return DenseOperator(g, scale * mat)
+        return coords, 1.0
+    if convention == PERIODIC:
+        return np.exp(2j * np.pi * coords / g.length), g.length / (2.0 * np.pi)
+    raise ValueError("convention must be 'plain' or 'periodic'")
 
 
 def commutator_momentum(omega: DenseOperator, axis: int, epsilon: float) -> DenseOperator:
@@ -110,12 +110,66 @@ def field_lp_norm(f: Field, p: float) -> float:
     return float((f.grid.cell_volume * np.sum(vals**p)) ** (1.0 / p))
 
 
-def _commutator_trace_norm(diag_vals: np.ndarray, omega: np.ndarray) -> float:
-    """tr|[diag(v), omega]| for real v and Hermitian omega (anti-Hermitian fast path)."""
-    comm = diag_vals[:, None] * omega - omega * diag_vals[None, :]
-    herm = 1j * comm
-    herm = 0.5 * (herm + herm.conj().T)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+# Multipliers are stacked in chunks whose factors P and Q hold at most this
+# many complex points (16 MiB) each, so a full-rank omega at the dense cap
+# (2r = 2M) takes one multiplier at a time instead of stacking all windows.
+COMMUTATOR_CHUNK_POINTS = 2**20
+
+
+def _range_factor(omega: DenseOperator):
+    """(lam, E) with omega = E diag(lam) E^*, one Hermitian eigh.
+
+    Eigenpairs with |lam| <= M eps max|lam| are dropped: they are rounding
+    noise of the factorization and move a commutator trace norm by at most
+    2 ||a||_inf sum |lam_dropped|.
+    """
+    if not omega.is_hermitian():
+        raise ValueError("commutator diagnostics need a Hermitian omega")
+    lam, vecs = np.linalg.eigh(omega.matrix)
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.max(np.abs(lam))
+    return lam[keep], vecs[:, keep]
+
+
+def _commutator_spectra(factor, mults: np.ndarray, density: bool = False):
+    """tr|[diag(a), omega]| for each row a of `mults`, from omega's range factor.
+
+    With omega = E diag(lam) E^* of rank r, [a, omega] = P D Q^* where
+    P = [aE, E], D = diag(lam, -lam) and Q = [E, conj(a) E].  Thin QRs
+    P = Q_P R_P and Q = Q_Q R_Q leave the 2r x 2r core K = R_P D R_Q^*, whose
+    singular values are the nonzero ones of [a, omega].  With K = U S W^*,
+    |[a, omega]| = (Q_Q W) S (Q_Q W)^*, so with `density` the diagonal of
+    |[a, omega]| is also returned, shape (len(mults), M); otherwise None.
+    """
+    lam, vecs = factor
+    m, r = vecs.shape
+    d = np.concatenate([lam, -lam])
+    norms = np.empty(len(mults))
+    diags = np.empty((len(mults), m)) if density else None
+    step = max(1, COMMUTATOR_CHUNK_POINTS // max(1, 2 * r * m))
+    for lo in range(0, len(mults), step):
+        a = mults[lo : lo + step, :, None]
+        e = np.broadcast_to(vecs, (len(a), m, r))
+        r_p = np.linalg.qr(np.concatenate([a * vecs, e], axis=2), mode="r")
+        q_q, r_q = np.linalg.qr(np.concatenate([e, a.conj() * vecs], axis=2))
+        core = (r_p * d) @ r_q.conj().swapaxes(1, 2)
+        if density:
+            _, sv, wh = np.linalg.svd(core)
+            basis = q_q @ wh.conj().swapaxes(1, 2)
+            diags[lo : lo + step] = (np.abs(basis) ** 2 @ sv[:, :, None])[:, :, 0]
+        else:
+            sv = np.linalg.svd(core, compute_uv=False)
+        norms[lo : lo + step] = np.sum(sv, axis=1)
+    return norms, diags
+
+
+def _position_commutator_densities(factor, g, convention: str) -> list:
+    """Diagonal densities of |[X_axis, omega]|, one Field per axis."""
+    mults, scales = zip(*(_position_multiplier(g, axis, convention) for axis in range(g.dim)))
+    _, diags = _commutator_spectra(factor, np.array(mults), density=True)
+    return [
+        Field(g, (scale * diag / g.cell_volume).reshape(g.shape).astype(complex))
+        for scale, diag in zip(scales, diags)
+    ]
 
 
 def _periodic_box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
@@ -201,33 +255,31 @@ def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
             import itertools
 
             centers = list(itertools.product((float(c) for c in pts), repeat=g.dim))
-    dens_l1, dens_max = [], []
-    for axis in range(g.dim):
-        comm = commutator_position(omega, axis, config.position_convention)
-        dens = diagonal_density(absolute_value(comm))
-        dens_l1.append(field_lp_norm(dens, 1.0))
-        dens_max.append(maximal_function(dens))
+    factor = _range_factor(omega)
+    densities = _position_commutator_densities(factor, g, config.position_convention)
+    dens_l1 = [field_lp_norm(dens, 1.0) for dens in densities]
+    dens_max = [maximal_function(dens) for dens in densities]
 
     def locate(center):
         return tuple(
             int(round(center[axis] / g.h)) % g.m for axis in range(g.dim)
         )
 
+    windows = [(float(r), z) for r in radii for z in centers]
+    chis = np.array([gaussian_window(g, np.array(z), r).reshape(-1) for r, z in windows])
+    lhs_all, _ = _commutator_spectra(factor, chis)
     rows = []
     degenerate = 0
-    for r in radii:
-        for z in centers:
-            chi_vals = gaussian_window(g, np.array(z), float(r)).reshape(-1)
-            lhs = _commutator_trace_norm(chi_vals, omega.matrix)
-            site = locate(z)
-            rhs = 0.0
-            for axis in range(g.dim):
-                mstar = float(np.real(dens_max[axis].values[site]))
-                rhs += dens_l1[axis] ** (1.0 / 6.0 + delta) * mstar ** (5.0 / 6.0 - delta)
-            rhs *= float(r) ** (1.5 - 3.0 * delta)
-            if rhs <= 1e-12 and lhs > 1e-12:
-                degenerate += 1
-            rows.append(WindowCommutatorRow(float(r), tuple(z), lhs, rhs))
+    for (r, z), lhs in zip(windows, lhs_all):
+        site = locate(z)
+        rhs = 0.0
+        for axis in range(g.dim):
+            mstar = float(np.real(dens_max[axis].values[site]))
+            rhs += dens_l1[axis] ** (1.0 / 6.0 + delta) * mstar ** (5.0 / 6.0 - delta)
+        rhs *= r ** (1.5 - 3.0 * delta)
+        if rhs <= 1e-12 and lhs > 1e-12:
+            degenerate += 1
+        rows.append(WindowCommutatorRow(r, tuple(z), float(lhs), rhs))
 
     finite = [row.ratio for row in rows if np.isfinite(row.ratio)]
     fitted_c = float(np.max(finite)) if finite else np.inf
@@ -283,9 +335,10 @@ def commutator_density_series(snapshots, n_particles: int, epsilon: float,
     totals = []
     for t, omega in snapshots:
         total = 0.0
-        for axis in range(omega.grid.dim):
-            comm = commutator_position(omega, axis, config.position_convention)
-            dens = diagonal_density(absolute_value(comm))
+        densities = _position_commutator_densities(
+            _range_factor(omega), omega.grid, config.position_convention
+        )
+        for axis, dens in enumerate(densities):
             l1 = field_lp_norm(dens, 1.0)
             lp = field_lp_norm(dens, config.lp_exponent)
             total += l1 + lp

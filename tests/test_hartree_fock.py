@@ -414,3 +414,20 @@ def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
         # complex128: one pair chunk plus a few orbital blocks; the unchunked
         # pair tensor alone would be N * k * M = 2^20 points
         assert peak <= 16 * (budget + 5 * f.size)
+
+
+def test_hs_distance_resolves_equal_states_and_matches_dense():
+    g = Grid(1, 64)
+    p = ScaledParams(8, 1.0)
+    for st in (fermi_ball(g, p), random_slater(g, p, np.random.default_rng(40))):
+        # 2N - 2 sum |<f_i, f_j>|^2 cancels to ~1e-15 here; the residual form does not
+        assert hs_distance_squared(st, st) <= 1e-26
+    rng = np.random.default_rng(41)
+    pairs = [
+        (random_slater(g, p, rng), random_slater(g, p, rng)),
+        (random_slater(g, ScaledParams(3, 1.0), rng), random_slater(g, ScaledParams(5, 1.0), rng)),
+    ]
+    for a, b in pairs:
+        dense = np.linalg.norm(density_matrix(a).matrix - density_matrix(b).matrix) ** 2
+        assert hs_distance_squared(a, b) == pytest.approx(dense, rel=1e-12)
+        assert hs_distance_squared(b, a) == pytest.approx(dense, rel=1e-12)

@@ -258,3 +258,21 @@ def test_transform_cache_follows_replaced_values():
     zero = dataclasses.replace(v, values=np.zeros(g.shape))
     assert np.all(zero.v_hat == 0.0)
     assert np.max(np.abs(v.v_hat)) > 0.0
+
+
+@pytest.mark.parametrize("dim,m", [(1, 8), (3, 6)])
+def test_convolve_matches_unscaled_transform_bitwise(dim, m):
+    # the cached h^d-scaled multiplier gives the same bits as scaling v_hat per call
+    import scipy.fft
+
+    g = Grid(dim, m)
+    v = power_law_potential(g, 0.5)
+    rng = np.random.default_rng(5)
+    axes = tuple(range(-dim, 0))
+    real = rng.standard_normal((3,) + g.shape)
+    hat = scipy.fft.rfftn(real, axes=axes) * (v.v_hat[..., : m // 2 + 1] * g.cell_volume)
+    assert np.array_equal(v.convolve(real), scipy.fft.irfftn(hat, s=g.shape, axes=axes))
+    pair = real + 1j * rng.standard_normal(real.shape)
+    hat = scipy.fft.fftn(pair, axes=axes) * (v.v_hat * g.cell_volume)
+    assert np.array_equal(v.convolve(pair.copy(), overwrite=True), scipy.fft.ifftn(hat, axes=axes))
+    assert np.array_equal(v.v_hat, scipy.fft.fftn(v.values).real)

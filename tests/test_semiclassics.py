@@ -10,10 +10,13 @@ from hflab.lattice import (
     absolute_value,
     operator_norms,
 )
+from hflab.potentials import gaussian_window
 from hflab.semiclassics import (
     PERIODIC,
     PLAIN,
     DiagnosticsConfig,
+    _position_commutator_densities,
+    _range_factor,
     commutator_density_series,
     commutator_momentum,
     commutator_position,
@@ -239,3 +242,91 @@ def test_density_series_fermi_ball_constant():
     )
     series = result["series"]
     assert np.ptp(series) / np.max(series) < 1e-12
+
+
+def _omega(kind, g):
+    """Rank-N projection, full-rank 0.5*I or a random Hermitian matrix."""
+    n = g.site_count
+    rng = np.random.default_rng(11)
+    if kind == "projection":
+        return density_matrix(random_slater(g, ScaledParams(3, 0.5), rng))
+    if kind == "half-identity":
+        return DenseOperator(g, 0.5 * np.eye(n, dtype=complex))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return DenseOperator(g, 0.5 * (a + a.conj().T))
+
+
+def _assert_close(value, reference):
+    # 1e-12 relative, or 1e-12 absolute where the reference is below 1
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+@pytest.mark.parametrize("kind", ["projection", "half-identity", "hermitian"])
+@pytest.mark.parametrize("dim,m", [(1, 32), (3, 4)])
+@pytest.mark.parametrize("convention", [PLAIN, PERIODIC])
+def test_low_rank_commutators_match_dense_reference(convention, dim, m, kind):
+    g = Grid(dim, m)
+    om = _omega(kind, g)
+    cfg = DiagnosticsConfig(delta=0.1, position_convention=convention)
+    dense = [
+        diagonal_density(absolute_value(commutator_position(om, axis, convention)))
+        for axis in range(dim)
+    ]
+    low_rank = _position_commutator_densities(_range_factor(om), g, convention)
+    for ref, dens in zip(dense, low_rank):
+        _assert_close(dens.values, ref.values)
+    series = commutator_density_series([(0.0, om)], 3, 0.5, cfg)
+    for row, ref in zip(series["rows"], dense):
+        _assert_close(row.norm_l1, field_lp_norm(ref, 1.0))
+        _assert_close(row.norm_lp, field_lp_norm(ref, cfg.lp_exponent))
+    # every window trace norm against the dense Hermitian spectrum of i[chi, omega]
+    audit = window_commutator_audit(om, cfg)
+    a = om.matrix
+    for row in audit.rows:
+        chi = gaussian_window(g, np.array(row.center), row.radius).reshape(-1)
+        herm = 1j * (chi[:, None] * a - a * chi[None, :])
+        _assert_close(row.lhs, np.sum(np.abs(np.linalg.eigvalsh(herm))))
+
+
+def test_range_factor_rejects_non_hermitian():
+    g = Grid(1, 8)
+    a = np.triu(np.ones((8, 8), dtype=complex))
+    with pytest.raises(ValueError, match="Hermitian"):
+        _range_factor(DenseOperator(g, a))
+
+
+def test_window_audit_factors_omega_once(monkeypatch):
+    # 3d m=8, N=4: one M x M eigh of omega, then only 2r x 2r cores
+    g = Grid(3, 8)
+    om = density_matrix(packet_slater(g, ScaledParams(4, 1.0), width=g.length / 8, centered=True))
+    calls = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(np.shape(a)[-2:])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    window_commutator_audit(om, DiagnosticsConfig(delta=0.1))
+    assert calls["eigh"] == [(512, 512)]
+    assert calls["eigvalsh"] == []
+    assert calls["svd"] and all(max(shape) <= 8 for shape in calls["svd"])
+
+
+def test_commutator_chunks_leave_results_unchanged(monkeypatch):
+    from hflab import semiclassics
+
+    g = Grid(1, 32)
+    om = _omega("projection", g)
+    cfg = DiagnosticsConfig(delta=0.1, position_convention=PERIODIC)
+    # one multiplier per chunk, then the default budget (one chunk)
+    monkeypatch.setattr(semiclassics, "COMMUTATOR_CHUNK_POINTS", 1)
+    chunked = window_commutator_audit(om, cfg)
+    monkeypatch.undo()
+    whole = window_commutator_audit(om, cfg)
+    assert len(chunked.rows) == len(whole.rows) == 56
+    for a, b in zip(whole.rows, chunked.rows):
+        assert b.lhs == pytest.approx(a.lhs, rel=1e-13)
+        assert b.rhs == pytest.approx(a.rhs, rel=1e-13)
