@@ -117,15 +117,16 @@ def cmd_list(_args) -> int:
 
 
 def cmd_verify(args) -> int:
+    names = args.scenarios.split(",") if args.scenarios else list(SCENARIOS)
+    unknown = [name for name in names if name not in SCENARIOS]
+    if unknown:
+        print(f"error: unknown scenario '{unknown[0]}'", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = args.scenarios.split(",") if args.scenarios else list(SCENARIOS)
     entries = []
     all_pass = True
     for idx, name in enumerate(names):
-        if name not in SCENARIOS:
-            print(f"error: unknown scenario '{name}'", file=sys.stderr)
-            return 2
         cfg = build_config(name, seed=args.seed + idx)
         sub = out / name
         sub.mkdir(parents=True, exist_ok=True)

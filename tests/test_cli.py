@@ -101,6 +101,17 @@ def test_verify_subset(tmp_path, capsys):
     assert manifest["runs"][0]["scenario"] == "fdl-verify"
 
 
+def test_verify_rejects_unknown_name_before_running(tmp_path, capsys):
+    out = tmp_path / "verify"
+    code = main(
+        ["verify", "--scenarios", "fdl-verify,nope", "--seed", "5", "--out", str(out)]
+    )
+    assert code == 2
+    assert "unknown scenario 'nope'" in capsys.readouterr().err
+    assert not (out / "fdl-verify").exists()
+    assert not out.exists()
+
+
 def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     def crash(cfg, out):
         raise RuntimeError("Lanczos did not converge")

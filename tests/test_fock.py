@@ -1,9 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from hflab.fock import (
     FockSpace,
+    _sector_annihilators,
     all_annihilators,
     annihilate_orbital,
     annihilator,
@@ -23,8 +27,9 @@ from hflab.fock import (
     second_quantized_hamiltonian,
     slater_vector,
 )
+from hflab.hartree_fock import loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
-from hflab.potentials import power_law_potential
+from hflab.potentials import gaussian_window, power_law_potential
 
 
 def haar_unitary(n, rng):
@@ -195,6 +200,26 @@ def test_lift_conjugates_creation():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def test_lift_matches_minor_loop_bitwise():
+    # reference: every k x k minor gathered one by one, as det W[S'|S]
+    m = 8
+    sp = FockSpace(m)
+    w = haar_unitary(m, np.random.default_rng(9))
+    ref = np.zeros((sp.dim, sp.dim), dtype=complex)
+    ref[0, 0] = 1.0
+    for k in range(1, m + 1):
+        subsets = list(itertools.combinations(range(m), k))
+        masks = [sum(1 << s for s in sub) for sub in subsets]
+        minors = np.empty((len(subsets), len(subsets), k, k), dtype=complex)
+        for b, cols_sub in enumerate(subsets):
+            for a, rows_sub in enumerate(subsets):
+                minors[a, b] = w[np.ix_(rows_sub, cols_sub)]
+        dets = np.linalg.det(minors.reshape(-1, k, k)).reshape(len(subsets), -1)
+        for a, ma in enumerate(masks):
+            ref[ma, masks] = dets[a]
+    assert np.array_equal(lift_unitary(sp, w), ref)
+
+
 def test_lift_rejects_nonunitary():
     sp = FockSpace(3)
     with pytest.raises(ValueError):
@@ -346,6 +371,134 @@ def test_bound_audit_no_violations():
 def test_pair_bound_audit():
     rep = audit_window_pair_bound(Grid(1, 8), 3, 30, seed=12)
     assert rep["max_slack_norm_vs_trace"] <= 1e-10
+
+
+BOUND_IDS = [
+    "dgamma-expectation-psd",
+    "dgamma-expectation-abs",
+    "dgamma-number",
+    "dgamma-hs",
+    "pair-annihilation-hs",
+    "pair-creation-hs-shifted",
+    "trace-class",
+    "pair-creation-hs-printed",
+]
+
+
+def _bound_audit_reference(n_modes, trials, seed):
+    """Per-trial audit loop with the sparse dgamma/pair_operator as operators."""
+    space = FockSpace(n_modes)
+    ops = all_annihilators(space)
+    rng = np.random.default_rng(seed)
+    occ = space.occupations().astype(float)
+    slacks = dict.fromkeys(BOUND_IDS, -np.inf)
+    for trial in range(trials):
+        o = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal(
+            (n_modes, n_modes)
+        )
+        o_psd = o @ o.conj().T
+        o_psd /= np.linalg.norm(o_psd, 2)
+        psi = np.zeros(space.dim, dtype=complex)
+        if trial % 10 == 0:
+            modes = rng.integers(0, n_modes, size=2)
+            psi[0 if trial % 20 == 0 else 1 << int(modes[0])] = 1.0
+        else:
+            psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+            psi /= np.linalg.norm(psi)
+        op_norm = np.linalg.norm(o, 2)
+        hs = np.linalg.norm(o)
+        tr_abs = np.sum(np.linalg.svd(o, compute_uv=False))
+        dg = dgamma(space, o, ops) @ psi
+        dg_psd = dgamma(space, o_psd, ops) @ psi
+        pa = pair_operator(space, o, "annihilation", ops) @ psi
+        pc = pair_operator(space, o, "creation", ops) @ psi
+        n_exp = np.real(np.vdot(psi, occ * psi))
+        sqrt_n = np.linalg.norm(np.sqrt(occ) * psi)
+        values = {
+            "dgamma-expectation-psd": np.real(np.vdot(psi, dg_psd)) - n_exp,
+            "dgamma-expectation-abs": abs(np.vdot(psi, dg)) - op_norm * n_exp,
+            "dgamma-number": np.linalg.norm(dg) - op_norm * np.linalg.norm(occ * psi),
+            "dgamma-hs": np.linalg.norm(dg) - hs * sqrt_n,
+            "pair-annihilation-hs": np.linalg.norm(pa) - hs * sqrt_n,
+            "pair-creation-hs-shifted": np.linalg.norm(pc)
+            - hs * np.linalg.norm(np.sqrt(occ + 2.0) * psi),
+            "trace-class": max(np.linalg.norm(v) for v in (dg, pa, pc)) - 2.0 * tr_abs,
+            "pair-creation-hs-printed": np.linalg.norm(pc) - hs * sqrt_n,
+        }
+        for key, val in values.items():
+            slacks[key] = max(slacks[key], float(val))
+    return slacks
+
+
+@pytest.mark.parametrize("n_modes", [4, 6])
+def test_bound_audit_matches_per_trial_reference(n_modes):
+    records = audit_fock_operator_bounds(n_modes, 50, seed=21)
+    ref = _bound_audit_reference(n_modes, 50, seed=21)
+    assert [r.bound_id for r in records] == BOUND_IDS
+    for rec in records:
+        assert rec.trials == 50
+        assert abs(rec.max_slack - ref[rec.bound_id]) <= 1e-12, rec.bound_id
+
+
+def _window_pair_reference(grid, n_occupied, trials, seed):
+    """Per-trial loop with the full 2^m x 2^m pair operator and its dense norm."""
+    space = FockSpace(grid.site_count)
+    rng = np.random.default_rng(seed)
+    worst_first, worst_second = -np.inf, -np.inf
+    for _ in range(trials):
+        shape = (n_occupied,) + grid.shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        orbs = loewdin_orthonormalize(grid, raw).reshape(n_occupied, -1)
+        h = grid.cell_volume
+        omega = h * (orbs.T @ orbs.conj())
+        u = np.eye(grid.site_count) - omega
+        vbar = h * (orbs.T @ orbs)
+        radius = float(np.exp(rng.uniform(np.log(grid.h), np.log(grid.length / 2))))
+        center = rng.uniform(0.0, grid.length, size=grid.dim)
+        chi = np.diag(gaussian_window(grid, center, radius).reshape(-1))
+        o = vbar @ chi @ u
+        b_norm = np.linalg.norm(pair_operator(space, o).toarray(), 2)
+        tr_o = np.sum(np.linalg.svd(o, compute_uv=False))
+        tr_comm = np.sum(np.linalg.svd(chi @ omega - omega @ chi, compute_uv=False))
+        worst_first = max(worst_first, b_norm - 2.0 * tr_o)
+        worst_second = max(worst_second, tr_o - tr_comm)
+    return {
+        "trials": trials,
+        "max_slack_norm_vs_trace": worst_first,
+        "max_slack_trace_vs_commutator": worst_second,
+    }
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_pair_bound_audit_matches_dense_reference(m):
+    rep = audit_window_pair_bound(Grid(1, m), 3, 4, seed=13)
+    ref = _window_pair_reference(Grid(1, m), 3, 4, seed=13)
+    assert rep.keys() == ref.keys()
+    for key, val in ref.items():
+        assert abs(rep[key] - val) <= 1e-12, key
+
+
+def test_sector_annihilators_reassemble_dense():
+    sp = FockSpace(5)
+    blocks = _sector_annihilators(sp)
+    for i, op in enumerate(all_annihilators(sp)):
+        dense = np.zeros((sp.dim, sp.dim))
+        for n in range(1, 6):
+            dense[np.ix_(sp.sector_masks(n - 1), sp.sector_masks(n))] = blocks[n][i]
+        assert np.array_equal(dense, op.toarray())
+
+
+def test_pair_bound_audit_memory_is_sector_sized():
+    # the pair monomials on the sector blocks take 64 * 8008 complex entries
+    # (8 MiB); dense 256 x 256 monomials alone would take 64 MiB
+    grid = Grid(1, 8)
+    tracemalloc.start()
+    try:
+        audit_window_pair_bound(grid, 3, 2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_exact_evolution_matches_dense_expm():
