@@ -237,10 +237,7 @@ def ring_hamiltonian(grid: Grid, params: ScaledParams,
 
     space = FockSpace(grid.site_count)
     kin = kinetic_operator(grid, params).matrix
-    m = grid.site_count
-    idx = np.arange(m)
-    pair_v = potential.values.reshape(-1)[(idx[:, None] - idx[None, :]) % m]
-    return second_quantized_hamiltonian(space, kin, pair_v, params.coupling)
+    return second_quantized_hamiltonian(space, kin, potential.pair_matrix, params.coupling)
 
 
 def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,

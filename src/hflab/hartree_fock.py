@@ -2,11 +2,13 @@
 
 Orbitals are propagated (rather than the density matrix) so rank and
 idempotency are structural.  One step is a Strang split: half a kinetic step
-in Fourier space, a full mean-field step with the direct potential and
-exchange operator frozen at the midpoint (one cheap predictor supplies the
-midpoint orbitals), then the second kinetic half.  The frozen mean-field
-exponential is applied per orbital with a short Lanczos iteration, so every
-substep is unitary to the iteration tolerance.
+(the exact spectral multiplier), a full mean-field step with the direct
+potential and exchange operator frozen at the midpoint (one cheap predictor
+supplies the midpoint orbitals), then the second kinetic half.  The frozen
+mean-field exponential is applied per orbital with a short Lanczos iteration,
+so every substep is unitary to the iteration tolerance.  On small grids the
+one-body operators are dense matrices applied by matmul, on larger ones they
+are applied by FFT.
 
 The kinetic substep is exact for any dt.  Accuracy of the split requires the
 mean-field phase per step, dt * ||U - X|| / eps, to stay well below one; the
@@ -16,6 +18,7 @@ which signals an aggressively large step for interacting runs.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +31,7 @@ from hflab.lattice import (
     Grid,
     ScaledParams,
     projection_from_orbitals,
+    spectral_multiplier_operator,
 )
 from hflab.potentials import PowerLawPotential
 
@@ -40,6 +44,11 @@ LANCZOS_MAX = 40
 # N=16 step (2 vCPUs) budgets from 2**18 to 2**22 ran equally fast, and peak
 # RSS rose from 188 MB at 2**19 to 244 MB at 2**22.
 EXCHANGE_CHUNK_POINTS = 2**19
+# Grids with at most this many sites step on cached dense M x M one-body
+# matrices (one matmul per application, no FFT); larger grids use FFTs.  The
+# dense step was faster at every N tried up to 128 sites; at 256 the faster
+# path depends on N (table in README, "Small-grid step").
+DENSE_STEP_SITES = 128
 
 
 @dataclass
@@ -213,57 +222,124 @@ def _small_exp(alphas, betas, tau):
     return np.einsum("kij,kj->ki", vecs, np.exp(-1j * tau * vals) * vecs[:, 0, :])
 
 
-def _expm_mean_field(block, frozen, u_vals, potential, n_particles, tau,
-                     tol=LANCZOS_TOL, max_m=LANCZOS_MAX):
-    """exp(-1j * tau * (U - X)) applied to each row of `block` via Lanczos.
+def _real_dots(a, b):
+    """Re <a_k, b_k> for each row pair of two (k, M) blocks, with no conjugate copy."""
+    return np.einsum("km,km->k", a.view(float), b.view(float))
 
-    The frozen generator is Hermitian; per-orbital tridiagonal recurrences run
-    in lockstep so the generator is applied to the whole block at once.  The
+
+def _lanczos_expm(apply, block, tau, cell_volume, tol=LANCZOS_TOL, max_m=LANCZOS_MAX):
+    """exp(-1j * tau * H) applied to each row of a (k, M) block via Lanczos.
+
+    `apply` maps a (k, M) block to H applied to each row; H is Hermitian in the
+    h^d-weighted inner product.  The per-row tridiagonal recurrences run in
+    lockstep, so H acts on the whole block at once, and each iteration
+    reorthogonalizes against the whole basis in one batched projection.  The
     residual estimate beta_m |tau| |e_m^T exp(-1j tau T_m) e1| (Hochbruck and
     Lubich) stops the iteration; not reaching `tol` in `max_m` steps raises.
     """
-    grid = potential.grid
     k = block.shape[0]
-    col = (k,) + (1,) * grid.dim
-    norms = np.sqrt(grid.cell_volume) * np.linalg.norm(block.reshape(k, -1), axis=1)
+    norms = np.sqrt(cell_volume) * np.linalg.norm(block, axis=1)
     if np.any(norms == 0):
         raise ValueError("cannot propagate a zero orbital")
-    basis = [block / norms.reshape(col)]
-    alphas, betas = [], []
-
-    def dots(a, b):
-        return grid.cell_volume * np.einsum(
-            "ki,ki->k", a.reshape(k, -1).conj(), b.reshape(k, -1)
-        )
-
+    # The basis grows by one (k, M) row per iteration, so scratch follows the
+    # iterations taken, not max_m.  It grows in place: a copy into a larger
+    # array would hold the old and the new basis at once.
+    basis = np.empty((1,) + block.shape, dtype=complex)
+    np.divide(block, norms[:, None], out=basis[0])
+    alphas = np.zeros((max_m, k))
+    betas = np.zeros((max_m, k))
     for it in range(max_m):
         v = basis[-1]
-        w = _apply_mean_field(v, frozen, u_vals, potential, n_particles)
+        w = apply(v)
         if it > 0:
-            w = w - betas[-1].reshape(col) * basis[-2]
-        alpha = dots(v, w).real
-        alphas.append(alpha)
-        w = w - alpha.reshape(col) * v
+            w -= betas[it - 1, :, None] * basis[-2]
+        alphas[it] = cell_volume * _real_dots(v, w)
+        w -= alphas[it, :, None] * v
         # full reorthogonalization keeps the basis clean for small m
-        for vb in basis:
-            w = w - dots(vb, w).reshape(col) * vb
-        beta = np.sqrt(np.abs(dots(w, w).real))
-        ys = _small_exp(np.array(alphas).T, np.array(betas).reshape(-1, k).T, tau)
+        coeffs = cell_volume * np.einsum("jkm,km->jk", basis, w.conj()).conj()
+        w -= np.einsum("jk,jkm->km", coeffs, basis)
+        beta = np.sqrt(np.abs(cell_volume * _real_dots(w, w)))
+        ys = _small_exp(alphas[: it + 1].T, betas[:it].T, tau)
         resid = np.abs(beta * np.abs(tau)) * np.abs(ys[:, -1])
         if np.max(resid) < tol or np.max(beta) < 1e-15:
             break
-        betas.append(beta)
-        safe = np.where(beta > 1e-300, beta, 1.0)
-        basis.append(w / safe.reshape(col))
+        betas[it] = beta
+        w /= np.where(beta > 1e-300, beta, 1.0)[:, None]
+        del v  # no view of the basis may outlive its resize
+        basis.resize((it + 2,) + block.shape, refcheck=False)
+        basis[-1] = w
     else:
         raise RuntimeError(
             f"Lanczos did not converge in {max_m} iterations: residual "
             f"{np.max(resid):.3e} exceeds {tol:.0e}"
         )
-    out = np.zeros(block.shape, dtype=complex)
-    for i, vb in enumerate(basis):
-        out += ys[:, i].reshape(col) * vb
-    return out * norms.reshape(col)
+    out = np.einsum("kj,jkm->km", ys, basis)
+    out *= norms[:, None]
+    return out
+
+
+def _fft_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
+    """Kinetic half-step and mean-field factory applied by FFT, on (k, M) blocks."""
+    g = state.grid
+    p = state.params
+    kin_phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
+
+    def on_grid(block):
+        return block.reshape((len(block),) + g.shape)
+
+    def half_kinetic(block):
+        return _kinetic_multiply(on_grid(block), kin_phase).reshape(len(block), -1)
+
+    def mean_field(frozen):
+        frozen_grid = on_grid(frozen)
+        u_vals = _direct_potential(frozen_grid, potential, p.n_particles)
+
+        def apply(block):
+            # the exchange takes its pair-symmetric pass when block is frozen
+            rows = frozen_grid if block is frozen else on_grid(block)
+            out = _apply_mean_field(rows, frozen_grid, u_vals, potential, p.n_particles)
+            return out.reshape(len(block), -1)
+
+        return apply
+
+    return half_kinetic, mean_field
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_half_kinetic(grid: Grid, phase_time: float) -> np.ndarray:
+    """exp(-1j phase_time k^2) as a matrix acting on orbital rows (block @ matrix)."""
+    phase = np.exp(-1j * phase_time * grid.momentum_squared())
+    out = spectral_multiplier_operator(grid, phase).matrix.T.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _dense_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
+    """Kinetic half-step and mean-field factory as dense M x M matrices, on (k, M) blocks.
+
+    The mean field frozen at F is diag(u) - (h^d/N) V o (F^* F) acting on rows,
+    with u = (h^d/N) rho V and rho = sum_j |f_j|^2; one matmul applies it.
+    """
+    g = state.grid
+    p = state.params
+    kinetic = _dense_half_kinetic(g, (dt / 2.0) * p.epsilon)
+    pair = potential.pair_matrix
+    scale = g.cell_volume / p.n_particles
+
+    def mean_field(frozen):
+        matrix = pair * (frozen.conj().T @ frozen)
+        matrix *= -scale
+        matrix.flat[:: g.site_count + 1] += scale * (np.sum(np.abs(frozen) ** 2, axis=0) @ pair)
+        return lambda block: block @ matrix
+
+    return lambda block: block @ kinetic, mean_field
+
+
+def _step_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
+    """(half_kinetic, mean_field) of one step: dense on small grids, FFT above."""
+    if state.grid.site_count <= DENSE_STEP_SITES:
+        return _dense_operators(state, potential, dt)
+    return _fft_operators(state, potential, dt)
 
 
 def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> SlaterState:
@@ -273,26 +349,27 @@ def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> Slat
 
 
 def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: float):
-    """hf_step plus the Gram defect measured before re-orthonormalization."""
+    """hf_step plus the Gram defect measured before re-orthonormalization.
+
+    Grids of at most DENSE_STEP_SITES sites apply the one-body operators as
+    cached dense matrices, larger ones by FFT; both run the same step.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
     p = state.params
-    kin_phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
+    half_kinetic, mean_field = _step_operators(state, potential, dt)
 
-    f1 = _kinetic_multiply(state.orbitals, kin_phase)
+    f1 = half_kinetic(state.orbitals.reshape(state.n_orbitals, -1))
 
     # predictor: first-order half-step of the mean-field flow fixes the midpoint
-    u1 = _direct_potential(f1, potential, p.n_particles)
-    w1 = _apply_mean_field(f1, f1, u1, potential, p.n_particles)
-    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * w1
+    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * mean_field(f1)(f1)
 
-    u_mid = _direct_potential(f_mid, potential, p.n_particles)
-    f2 = _expm_mean_field(f1, f_mid, u_mid, potential, p.n_particles, dt / p.epsilon)
+    f2 = _lanczos_expm(mean_field(f_mid), f1, dt / p.epsilon, g.cell_volume)
 
-    f3 = _kinetic_multiply(f2, kin_phase)
+    f3 = half_kinetic(f2)
 
-    out = SlaterState(g, f3, p, state.time + dt)
+    out = SlaterState(g, f3.reshape(state.orbitals.shape), p, state.time + dt)
     defect = out.gram_defect()
     if defect > GRAM_ABORT:
         raise RuntimeError(

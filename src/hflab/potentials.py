@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import gamma
 
-from hflab.lattice import Field, Grid
+from hflab.lattice import DENSE_SIDE_CAP, Field, Grid
 
 
 def fdl_constant(alpha: float, dim: int) -> float:
@@ -164,6 +164,25 @@ class PowerLawPotential:
     def v_hat(self) -> np.ndarray:
         """fftn(V), computed once; V(x) = V(-x) on the torus, so it is real."""
         return scipy.fft.fftn(self.values).real
+
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """Dense V(x - y) over all site pairs (flat site order), computed once.
+
+        An exact gather of `values` at (x - y) mod m on each axis, so it holds
+        the very same numbers; the side is capped like any dense operator.
+        """
+        g = self.grid
+        if g.site_count > DENSE_SIDE_CAP:
+            raise ValueError(f"dense side {g.site_count} exceeds cap {DENSE_SIDE_CAP}")
+        idx = np.arange(g.m)
+        diff = (idx[:, None] - idx[None, :]) % g.m
+        gather = []
+        for axis in range(g.dim):
+            shape = [1] * (2 * g.dim)
+            shape[axis] = shape[g.dim + axis] = g.m
+            gather.append(diff.reshape(shape))
+        return self.values[tuple(gather)].reshape(g.site_count, g.site_count)
 
     @cached_property
     def _scaled_v_hat(self) -> np.ndarray:

@@ -404,13 +404,7 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         potential = dataclasses.replace(potential, values=np.zeros(grid.shape))
     space = fock_mod.FockSpace(m_sites)
     ops = fock_mod.all_annihilators(space)
-    ham = fock_mod.second_quantized_hamiltonian(
-        space,
-        _ring_kinetic(grid, params),
-        _ring_pair(grid, potential),
-        params.coupling,
-        ops,
-    )
+    ham = fock_mod.ring_hamiltonian(grid, params, potential)
     orbitals = np.array(
         [plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)]
     )
@@ -455,18 +449,6 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         "reference_scale": scale,
         "measured_constant": float(np.max(series)) / scale if scale > 0 else np.inf,
     }
-
-
-def _ring_kinetic(grid: Grid, params: ScaledParams) -> np.ndarray:
-    from hflab.lattice import kinetic_operator
-
-    return kinetic_operator(grid, params).matrix
-
-
-def _ring_pair(grid: Grid, potential) -> np.ndarray:
-    m = grid.site_count
-    idx = np.arange(m)
-    return potential.values.reshape(-1)[(idx[:, None] - idx[None, :]) % m]
 
 
 def _extend_unitary(columns: np.ndarray) -> np.ndarray:

@@ -380,15 +380,73 @@ def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
     assert hf_energy(st, pot) == pytest.approx(expected, rel=1e-12)
 
 
-def test_lanczos_raises_when_not_converged():
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_lanczos_raises_when_not_converged(monkeypatch, sites):
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
     g = Grid(1, 64)
     p = ScaledParams(4, 0.5)
     pot = power_law_potential(g, 0.5)
     st = packet_slater(g, p)
-    f = st.orbitals
-    u = hf._direct_potential(f, pot, p.n_particles)
+    f = st.orbitals.reshape(p.n_particles, -1)
+    _, mean_field = hf._step_operators(st, pot, 1e-2)
     with pytest.raises(RuntimeError, match="residual"):
-        hf._expm_mean_field(f, f, u, pot, p.n_particles, 1e-2 / p.epsilon, max_m=2)
+        hf._lanczos_expm(mean_field(f), f, 1e-2 / p.epsilon, g.cell_volume, max_m=2)
+
+
+@pytest.mark.parametrize("dim,m,n", [(1, 64, 4), (1, 128, 8), (2, 8, 4)])
+def test_dense_step_matches_fft_step(monkeypatch, dim, m, n):
+    # the 2d case checks the per-axis (x - y) mod m gather of the pair matrix
+    g = Grid(dim, m)
+    p = ScaledParams(n, 0.5)
+    pot = power_law_potential(g, 0.5)
+    ends = []
+    for sites in (0, g.site_count):
+        monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
+        st = packet_slater(g, p)
+        for _ in range(10):
+            st = hf_step(st, pot, 1e-3)
+        ends.append(st.orbitals)
+    fft_end, dense_end = ends
+    assert np.max(np.abs(dense_end - fft_end)) <= 1e-12 * np.max(np.abs(fft_end))
+
+
+@pytest.mark.parametrize("dim,m,n,calls", [(1, 64, 4, 0), (3, 8, 7, 16)], ids=["dense", "fft"])
+def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
+    # FFT path: kinetic halves 4, two direct potentials 4, and 8 for four
+    # exchange applications (predictor and three Lanczos iterations) with all
+    # pair densities in one batched transform
+    g = Grid(dim, m)
+    p = ScaledParams(n, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = packet_slater(g, p)
+    hf_step(st, pot, 1e-3)  # fills the cached operators
+    counted = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(scipy.fft, name)
+
+        def spy(*args, _original=original, **kwargs):
+            counted.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    hf_step(st, pot, 1e-3)
+    assert len(counted) == calls
+
+
+def test_step_memory_bounded():
+    # one basis row per Lanczos iteration; a basis preallocated for
+    # LANCZOS_MAX rows would alone take 40 MiB here
+    g = Grid(3, 16)
+    p = ScaledParams(16, 1.0)
+    pot = power_law_potential(g, 1.0)
+    st = random_slater(g, p, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        hf_step(st, pot, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):

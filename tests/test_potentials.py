@@ -255,9 +255,12 @@ def test_transform_cache_follows_replaced_values():
     g = Grid(2, 8)
     v = power_law_potential(g, 0.5)
     assert v.v_hat is v.v_hat
+    assert v.pair_matrix is v.pair_matrix
     zero = dataclasses.replace(v, values=np.zeros(g.shape))
     assert np.all(zero.v_hat == 0.0)
     assert np.max(np.abs(v.v_hat)) > 0.0
+    assert np.all(zero.pair_matrix == 0.0)
+    assert np.min(v.pair_matrix) > 0.0
 
 
 @pytest.mark.parametrize("dim,m", [(1, 8), (3, 6)])
