@@ -6,8 +6,8 @@ Verbs:
     verify          every preset with derived seeds; exit 0 iff all audits pass
 
 Exit codes: 0 pass, 1 audit failure, 2 usage or configuration error.  CSV
-bodies are deterministic given (config, seed); timestamps appear only in the
-manifest.
+bodies are deterministic given (config, seed) and the BLAS thread count; the
+manifest records the thread variables, and timestamps appear only there.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -46,6 +47,9 @@ def _write_manifest(out: Path, entries: list) -> None:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        # BLAS reductions split by thread, so the last digits follow these
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "runs": entries,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

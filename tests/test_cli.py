@@ -101,6 +101,18 @@ def test_verify_subset(tmp_path, capsys):
     assert manifest["runs"][0]["scenario"] == "fdl-verify"
 
 
+def test_manifest_records_blas_thread_variables(tmp_path, monkeypatch):
+    # CSV digits follow the BLAS thread count; it is recorded beside the runs,
+    # so the runs themselves stay comparable across thread settings
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["verify", "--scenarios", "fdl-verify", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["OMP_NUM_THREADS"] == "2"
+    assert manifest["OPENBLAS_NUM_THREADS"] is None
+    assert "OMP_NUM_THREADS" not in json.dumps(manifest["runs"])
+
+
 def test_verify_rejects_unknown_name_before_running(tmp_path, capsys):
     out = tmp_path / "verify"
     code = main(

@@ -109,7 +109,27 @@ def test_exchange_kernel_consistency():
     assert np.max(np.abs(via_dense.values - via_conv.values)) < 1e-10
 
 
-def test_free_step_is_exact_propagator():
+def exact_fft_step(st, pot, dt):
+    """One step of the scheme with the exact exchange in every Lanczos application."""
+    g, p = st.grid, st.params
+    phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
+    f1 = hf._kinetic_multiply(st.orbitals, phase)
+    u1 = hf._direct_potential(f1, pot, p.n_particles)
+    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * (u1 * f1 - hf._exchange(f1, f1, pot, p.n_particles))
+    u_mid = hf._direct_potential(f_mid, pot, p.n_particles)
+
+    def apply(block):
+        rows = block.reshape(f_mid.shape)
+        out = u_mid * rows - hf._exchange(rows, f_mid, pot, p.n_particles)
+        return out.reshape(len(block), -1)
+
+    flat = f1.reshape(p.n_particles, -1)
+    f2 = hf._lanczos_expm(apply, flat, dt / p.epsilon, g.cell_volume).reshape(f1.shape)
+    f3 = hf._kinetic_multiply(f2, phase)
+    return SlaterState(g, loewdin_orthonormalize(g, f3), p, st.time + dt)
+
+
+def check_free_step_is_exact_propagator():
     g = Grid(1, 64)
     p = ScaledParams(2, 1.0)
     rng = np.random.default_rng(4)
@@ -120,6 +140,16 @@ def test_free_step_is_exact_propagator():
     exact = np.fft.ifft(phase[None] * np.fft.fft(st.orbitals, axis=1), axis=1)
     # identical up to the Loewdin touch-up, which is O(1e-15) here
     assert np.max(np.abs(stepped.orbitals - exact)) < 1e-12
+
+
+def test_free_step_is_exact_propagator():
+    check_free_step_is_exact_propagator()
+
+
+def test_free_step_is_exact_propagator_fft(monkeypatch):
+    # V = 0 makes the compressed exchange exactly zero, so the FFT step is exact too
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", 0)
+    check_free_step_is_exact_propagator()
 
 
 def test_fermi_ball_stationary():
@@ -388,33 +418,152 @@ def test_lanczos_raises_when_not_converged(monkeypatch, sites):
     pot = power_law_potential(g, 0.5)
     st = packet_slater(g, p)
     f = st.orbitals.reshape(p.n_particles, -1)
-    _, mean_field = hf._step_operators(st, pot, 1e-2)
+    _, _, mean_field = hf._step_operators(st, pot, 1e-2)
     with pytest.raises(RuntimeError, match="residual"):
         hf._lanczos_expm(mean_field(f), f, 1e-2 / p.epsilon, g.cell_volume, max_m=2)
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 64, 4), (1, 128, 8), (2, 8, 4)])
 def test_dense_step_matches_fft_step(monkeypatch, dim, m, n):
-    # the 2d case checks the per-axis (x - y) mod m gather of the pair matrix
+    # the dense step keeps the exact exchange, so its reference is the FFT
+    # step with the exact exchange; the 2d case checks the per-axis
+    # (x - y) mod m gather of the pair matrix
     g = Grid(dim, m)
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", g.site_count)
     p = ScaledParams(n, 0.5)
     pot = power_law_potential(g, 0.5)
-    ends = []
-    for sites in (0, g.site_count):
-        monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
-        st = packet_slater(g, p)
-        for _ in range(10):
-            st = hf_step(st, pot, 1e-3)
-        ends.append(st.orbitals)
-    fft_end, dense_end = ends
-    assert np.max(np.abs(dense_end - fft_end)) <= 1e-12 * np.max(np.abs(fft_end))
+    dense = exact = packet_slater(g, p)
+    for _ in range(10):
+        dense = hf_step(dense, pot, 1e-3)
+        exact = exact_fft_step(exact, pot, 1e-3)
+    assert np.max(np.abs(dense.orbitals - exact.orbitals)) <= 1e-12 * np.max(np.abs(exact.orbitals))
 
 
-@pytest.mark.parametrize("dim,m,n,calls", [(1, 64, 4, 0), (3, 8, 7, 16)], ids=["dense", "fft"])
+@pytest.mark.parametrize("m,n,bound", [(64, 4, 5e-12), (128, 8, 1e-10)])
+def test_compressed_fft_step_tracks_exact_exchange(monkeypatch, m, n, bound):
+    # X~ drops only (1 - P) X (1 - P), P onto span(f_mid): an O(dt^3) defect
+    # per step (1.5e-12 and 3.0e-11 measured after 10 steps)
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", 0)
+    g = Grid(1, m)
+    p = ScaledParams(n, 0.5)
+    pot = power_law_potential(g, 0.5)
+    compressed = exact = packet_slater(g, p)
+    for _ in range(10):
+        compressed = hf_step(compressed, pot, 1e-3)
+        exact = exact_fft_step(exact, pot, 1e-3)
+    gap = np.max(np.abs(compressed.orbitals - exact.orbitals))
+    assert gap <= bound * np.max(np.abs(exact.orbitals))
+    st = packet_slater(g, p)
+    gaps = [
+        np.max(np.abs(hf_step(st, pot, dt).orbitals - exact_fft_step(st, pot, dt).orbitals))
+        for dt in (1e-2, 5e-3)
+    ]
+    assert gaps[0] / gaps[1] == pytest.approx(8.0, rel=0.2)
+
+
+def compressed_fixture(make_potential=power_law_potential):
+    # a midpoint-like block: orbitals that are not orthonormal
+    g = Grid(2, 16)
+    p = ScaledParams(5, 0.5)
+    pot = make_potential(g, 0.5)
+    rng = np.random.default_rng(50)
+    f = random_slater(g, p, rng).orbitals
+    f = f + 0.05 * (rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape))
+    image = hf._exchange(f, f, pot, p.n_particles).reshape(p.n_particles, -1)
+    flat = f.reshape(p.n_particles, -1)
+    return g, flat, image, hf._compressed_exchange(flat, image, g.cell_volume), rng
+
+
+def test_compressed_exchange_is_exact_on_frozen_span():
+    _, flat, image, exchange, _ = compressed_fixture()
+    assert np.max(np.abs(exchange(flat) - image)) <= 1e-12 * np.max(np.abs(image))
+
+
+def test_compressed_exchange_is_hermitian():
+    g, flat, _, exchange, rng = compressed_fixture()
+    a, b = (rng.standard_normal((3, flat.shape[1])) + 1j * rng.standard_normal((3, flat.shape[1])) for _ in range(2))
+    ab = g.cell_volume * (a.conj() @ exchange(b).T)  # <a_i, X~ b_j>
+    ba = g.cell_volume * (b.conj() @ exchange(a).T)
+    assert np.max(np.abs(ab - ba.conj().T)) <= 1e-12 * np.max(np.abs(ab))
+
+
+def test_compressed_exchange_vanishes_for_zero_potential():
+    _, flat, image, exchange, rng = compressed_fixture(zero_potential)
+    assert not np.any(image)
+    block = rng.standard_normal((4, flat.shape[1])) + 1j * rng.standard_normal((4, flat.shape[1]))
+    assert not np.any(exchange(block))
+
+
+def test_compressed_path_energy_conservation_and_order(monkeypatch):
+    # the inputs and band of acceptance criterion 4, which runs on the dense
+    # path and so never reaches the compressed exchange
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", 0)
+    g = Grid(1, 64)
+    p = ScaledParams(4, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = packet_slater(g, p)
+    e0 = hf_energy(st, pot)
+
+    def drift(dt):
+        n = int(round(1.0 / dt))
+        snaps, _ = run_hf(st, pot, dt, n, max(1, n // 20))
+        return max(abs(hf_energy(s, pot) - e0) for _, s in snaps) / max(1.0, abs(e0))
+
+    d_coarse = drift(1e-3)
+    d_fine = drift(5e-4)
+    assert d_coarse < 1e-6
+    assert 3.3 <= d_coarse / d_fine <= 4.7
+
+
+def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
+    # a tdhf-3d step: two pair-symmetric self-exchanges (the predictor's X f1
+    # and the midpoint's X f_mid), N(N+1)/2 = 136 pair transforms each, and no
+    # transform at all inside Lanczos
+    g = Grid(3, 32)
+    p = ScaledParams(16, 1.0)
+    pot = power_law_potential(g, 1.0)
+    st = random_slater(g, p, np.random.default_rng(51))
+    pot.v_hat  # the transform of V itself is not a pair density
+    phase = [None]
+    counted = {"exchange": [], "lanczos": []}
+    exchanges = []
+    fftn = scipy.fft.fftn
+
+    def spy_fftn(x, *args, **kwargs):
+        if phase[0] is not None:
+            counted[phase[0]].append(x.size // g.site_count)
+        return fftn(x, *args, **kwargs)
+
+    def in_phase(name, original):
+        def run(*args, **kwargs):
+            phase[0] = name
+            try:
+                return original(*args, **kwargs)
+            finally:
+                phase[0] = None
+
+        return run
+
+    exchange = in_phase("exchange", hf._exchange)
+
+    def spy_exchange(*args, **kwargs):
+        exchanges.append(args[0] is args[1])
+        return exchange(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", spy_fftn)
+    monkeypatch.setattr(hf, "_exchange", spy_exchange)
+    monkeypatch.setattr(hf, "_lanczos_expm", in_phase("lanczos", hf._lanczos_expm))
+    hf_step(st, pot, 1e-3)
+    assert exchanges == [True, True]
+    assert sum(counted["exchange"]) == 272
+    assert counted["lanczos"] == []
+
+
+@pytest.mark.parametrize("dim,m,n,calls", [(1, 64, 4, 0), (3, 8, 7, 12)], ids=["dense", "fft"])
 def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
-    # FFT path: kinetic halves 4, two direct potentials 4, and 8 for four
-    # exchange applications (predictor and three Lanczos iterations) with all
-    # pair densities in one batched transform
+    # FFT path: kinetic halves 4, two direct potentials 4, and 4 for the two
+    # self-exchanges (predictor and midpoint) with all pair densities in one
+    # batched transform; Lanczos applies the compressed exchange with no FFT
     g = Grid(dim, m)
     p = ScaledParams(n, 0.5)
     pot = power_law_potential(g, 0.5)
