@@ -5,19 +5,17 @@ idempotency are structural.  One step is a Strang split: half a kinetic step
 (the exact spectral multiplier), a full mean-field step with the direct
 potential and exchange operator frozen at the midpoint (one cheap predictor
 supplies the midpoint orbitals), then the second kinetic half.  The frozen
-mean-field exponential is applied per orbital with a short Lanczos iteration,
-so every substep is unitary to the iteration tolerance.  On small grids the
-one-body operators are dense matrices applied by matmul, on larger ones they
-are applied by FFT.
+mean-field exponential is a Chebyshev series over a bound on the operator's
+spectrum, of a degree a Bessel tail bound fixes in advance.  On small grids
+the one-body operators are dense matrices applied by matmul, on larger ones
+they are applied by FFT.
 
 On the FFT path the frozen exchange X is compressed once per step, after
 L. Lin's adaptively compressed exchange: with P the projection onto the span
-of the midpoint orbitals f_mid, Lanczos applies X~ = P X + X P - P X P, which
-is Hermitian and equals X on that span, using thin products and no FFT.  Only
-the predictor's X f1 and the midpoint's X f_mid transform pair densities; on
-a 3d m=32 N=16 step that is 272 pair transforms instead of 1160.  The
-neglected (1 - P) X (1 - P) enters at O(dt^3) per step, so the scheme stays
-second order.
+of the midpoint orbitals f_mid, the propagator applies X~ = P X + X P - P X P,
+which is Hermitian and equals X on that span, using thin products and no FFT.
+The neglected (1 - P) X (1 - P) enters at O(dt^3) per step, so the scheme
+stays second order.
 
 The kinetic substep is exact for any dt.  Accuracy of the split requires the
 mean-field phase per step, dt * ||U - X|| / eps, to stay well below one; the
@@ -33,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.special
 
 from hflab.lattice import (
     DenseOperator,
@@ -45,8 +44,9 @@ from hflab.lattice import (
 from hflab.potentials import PowerLawPotential
 
 GRAM_ABORT = 1e-6
-LANCZOS_TOL = 1e-13
-LANCZOS_MAX = 40
+# Truncation bound of the Chebyshev propagator, and the degree past which it raises.
+CHEBYSHEV_TOL = 1e-13
+CHEBYSHEV_MAX_DEGREE = 40
 # Exchange forms pair densities a chunk of frozen orbitals at a time in one
 # buffer reused for every chunk.  It holds at most this many complex points
 # (8 MiB) or one orbital block when the block alone is larger.  On a 3d m=32
@@ -179,7 +179,7 @@ def _apply_mean_field(block, frozen, u_vals, potential, n_particles):
 
 
 def _compressed_exchange(frozen, image, cell_volume):
-    """X~ = P X + X P - P X P on (k, M) row blocks, given image = X frozen.
+    """X~ = P X + X P - P X P on (k, M) row blocks, and a bound on ||X~||, given image = X frozen.
 
     P is the h^d-orthogonal projection onto span(frozen) and X the exchange
     frozen there, so X~ equals X on that span; off it X~ drops (1 - P) X (1 - P).
@@ -187,7 +187,8 @@ def _compressed_exchange(frozen, image, cell_volume):
     K_ij = <q_i, X q_j> and z = X q - K q / 2 it is X~ = sum_i |q_i><z_i| + |z_i><q_i|,
     Hermitian whatever the rounding in K, and it inverts no core matrix.  One
     application is four thin (k, M) x (M, N) products; it transforms no pair
-    density.
+    density.  The rows q are orthonormal, so ||X~|| <= 2 ||z||, read off the
+    N x N Gram matrix of z.
     """
     s = _loewdin_transform(frozen, cell_volume)
     q = s @ frozen
@@ -197,6 +198,7 @@ def _compressed_exchange(frozen, image, cell_volume):
     # kept conjugated, so the coefficients <q_i, b> are block @ q.T
     np.conjugate(q, out=q)
     np.conjugate(z, out=z)
+    bound = 2.0 * np.sqrt(max(np.linalg.eigvalsh(cell_volume * (z @ z.conj().T))[-1], 0.0))
 
     def apply(block):
         on_q = cell_volume * (block @ q.T)
@@ -206,7 +208,7 @@ def _compressed_exchange(frozen, image, cell_volume):
         out += on_q.conj() @ z
         return np.conjugate(out, out=out)
 
-    return apply
+    return apply, bound
 
 
 def _kinetic_multiply(block, multiplier):
@@ -251,75 +253,62 @@ def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOp
     return DenseOperator(g, kernel * g.cell_volume)
 
 
-def _small_exp(alphas, betas, tau):
-    """Rows exp(-1j tau T) e1 for a stack of symmetric tridiagonal T.
+def _chebyshev_coefficients(z):
+    """Coefficients c_k of exp(-1j z x) = sum_k c_k T_k(x) on [-1, 1], cut at an a-priori degree.
 
-    `alphas` has shape (k, m) and `betas` (k, m - 1); one stacked eigh solves
-    all k small problems.
+    By Jacobi-Anger c_0 = J_0(z) and c_k = 2 (-1j)^k J_k(z).  Since |T_k| <= 1
+    there, degree d errs by at most 2 sum_{k>d} |J_k(z)|; d is the smallest
+    degree that keeps this below CHEBYSHEV_TOL, and above CHEBYSHEV_MAX_DEGREE
+    it raises.  Past the table |J_k(z)| <= (z/2)^k / k!, a geometric series.
     """
-    k, m = alphas.shape
-    t = np.zeros((k, m, m))
-    diag = np.arange(m)
-    t[:, diag, diag] = alphas
-    t[:, diag[1:], diag[:-1]] = betas
-    t[:, diag[:-1], diag[1:]] = betas
-    vals, vecs = np.linalg.eigh(t)
-    return np.einsum("kij,kj->ki", vecs, np.exp(-1j * tau * vals) * vecs[:, 0, :])
-
-
-def _real_dots(a, b):
-    """Re <a_k, b_k> for each row pair of two (k, M) blocks, with no conjugate copy."""
-    return np.einsum("km,km->k", a.view(float), b.view(float))
-
-
-def _lanczos_expm(apply, block, tau, cell_volume, tol=LANCZOS_TOL, max_m=LANCZOS_MAX):
-    """exp(-1j * tau * H) applied to each row of a (k, M) block via Lanczos.
-
-    `apply` maps a (k, M) block to H applied to each row; H is Hermitian in the
-    h^d-weighted inner product.  The per-row tridiagonal recurrences run in
-    lockstep, so H acts on the whole block at once, and each iteration
-    reorthogonalizes against the whole basis in one batched projection.  The
-    residual estimate beta_m |tau| |e_m^T exp(-1j tau T_m) e1| (Hochbruck and
-    Lubich) stops the iteration; not reaching `tol` in `max_m` steps raises.
-    """
-    k = block.shape[0]
-    norms = np.sqrt(cell_volume) * np.linalg.norm(block, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("cannot propagate a zero orbital")
-    # The basis grows by one (k, M) row per iteration, so scratch follows the
-    # iterations taken, not max_m.  It grows in place: a copy into a larger
-    # array would hold the old and the new basis at once.
-    basis = np.empty((1,) + block.shape, dtype=complex)
-    np.divide(block, norms[:, None], out=basis[0])
-    alphas = np.zeros((max_m, k))
-    betas = np.zeros((max_m, k))
-    for it in range(max_m):
-        v = basis[-1]
-        w = apply(v)
-        if it > 0:
-            w -= betas[it - 1, :, None] * basis[-2]
-        alphas[it] = cell_volume * _real_dots(v, w)
-        w -= alphas[it, :, None] * v
-        # full reorthogonalization keeps the basis clean for small m
-        coeffs = cell_volume * np.einsum("jkm,km->jk", basis, w.conj()).conj()
-        w -= np.einsum("jk,jkm->km", coeffs, basis)
-        beta = np.sqrt(np.abs(cell_volume * _real_dots(w, w)))
-        ys = _small_exp(alphas[: it + 1].T, betas[:it].T, tau)
-        resid = np.abs(beta * np.abs(tau)) * np.abs(ys[:, -1])
-        if np.max(resid) < tol or np.max(beta) < 1e-15:
+    cap = CHEBYSHEV_MAX_DEGREE
+    # the long table only serves the error message
+    for n in (cap + 2, 2**16):
+        bessel = scipy.special.jv(np.arange(n), z)
+        with np.errstate(divide="ignore", over="ignore"):
+            first = np.exp(n * np.log(z / 2) - scipy.special.gammaln(n + 1))
+        beyond = first / (1 - z / (2 * (n + 1))) if z < 2 * (n + 1) else np.inf
+        # tails[d] bounds 2 sum_{k>d} |J_k(z)|
+        tails = 2 * (np.append(np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + beyond)
+        fits = np.flatnonzero(tails <= CHEBYSHEV_TOL)
+        if fits.size:
             break
-        betas[it] = beta
-        w /= np.where(beta > 1e-300, beta, 1.0)[:, None]
-        del v  # no view of the basis may outlive its resize
-        basis.resize((it + 2,) + block.shape, refcheck=False)
-        basis[-1] = w
-    else:
+    if not fits.size or fits[0] > cap:
+        needed = f"degree {fits[0]}" if fits.size else f"a degree above {n - 1}"
         raise RuntimeError(
-            f"Lanczos did not converge in {max_m} iterations: residual "
-            f"{np.max(resid):.3e} exceeds {tol:.0e}"
+            f"Chebyshev propagator needs {needed} for tau * r = {z:.3e}, above the cap "
+            f"{cap}: the truncation residual bound at the cap is {tails[cap]:.3e}"
         )
-    out = np.einsum("kj,jkm->km", ys, basis)
-    out *= norms[:, None]
+    coeffs = 2 * (-1j) ** np.arange(fits[0] + 1) * bessel[: fits[0] + 1]
+    coeffs[0] /= 2
+    return coeffs
+
+
+def _chebyshev_expm(apply, block, tau, interval):
+    """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series.
+
+    `apply` maps a (k, M) block to H applied to each row; H is Hermitian with
+    its spectrum in `interval` = (lo, hi).  With c its centre and r its
+    half-width, exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r X) for
+    X = (H - c) / r, whose spectrum lies in [-1, 1] (Tal-Ezer and Kosloff).  The
+    degree is fixed in advance, so there is no small eigenproblem, no basis and
+    no residual check; the recurrence T_{k+1} = 2 X T_k - T_{k-1} keeps at most
+    four (k, M) blocks alive.  r = 0 is degree 0, an exact phase.
+    """
+    lo, hi = interval
+    centre, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
+    coeffs = _chebyshev_coefficients(tau * radius)
+    out = coeffs[0] * block
+    prev, cur = None, block
+    for coeff in coeffs[1:]:
+        nxt = apply(cur)
+        nxt -= centre * cur
+        nxt *= (1.0 if prev is None else 2.0) / radius
+        if prev is not None:
+            nxt -= prev
+        out += coeff * nxt
+        prev, cur = cur, nxt
+    out *= np.exp(-1j * tau * centre)
     return out
 
 
@@ -330,7 +319,8 @@ def _fft_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
     the orbitals F (N(N+1)/2 pair transforms once the pairs need more than one
     chunk).  The self field H(F) F uses it as is.  The mean field frozen at F
     is U - X~, with X~ the exchange compressed onto span(F): exact there, and
-    applied with thin products and no FFT.
+    applied with thin products and no FFT.  Its spectrum lies in
+    [min u - b, max u + b], with b the bound on ||X~||.
     """
     g = state.grid
     p = state.params
@@ -353,13 +343,13 @@ def _fft_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
 
     def mean_field(frozen):
         u_vals, image = self_terms(frozen)
-        exchange = _compressed_exchange(frozen, image, g.cell_volume)
+        exchange, bound = _compressed_exchange(frozen, image, g.cell_volume)
 
         def apply(block):
             out = exchange(block)
             return np.subtract(u_vals * block, out, out=out)
 
-        return apply
+        return apply, (np.min(u_vals) - bound, np.max(u_vals) + bound)
 
     return half_kinetic, self_field, mean_field
 
@@ -377,7 +367,8 @@ def _dense_operators(state: SlaterState, potential: PowerLawPotential, dt: float
     """Kinetic half-step, self field and mean-field factory as dense M x M matrices.
 
     The mean field frozen at F is diag(u) - (h^d/N) V o (F^* F) acting on rows,
-    with u = (h^d/N) rho V and rho = sum_j |f_j|^2; one matmul applies it.
+    with u = (h^d/N) rho V and rho = sum_j |f_j|^2; one matmul applies it, and
+    its Gershgorin discs bound its spectrum.
     """
     g = state.grid
     p = state.params
@@ -385,20 +376,28 @@ def _dense_operators(state: SlaterState, potential: PowerLawPotential, dt: float
     pair = potential.pair_matrix
     scale = g.cell_volume / p.n_particles
 
-    def mean_field(frozen):
+    def frozen_matrix(frozen):
         matrix = pair * (frozen.conj().T @ frozen)
         matrix *= -scale
         matrix.flat[:: g.site_count + 1] += scale * (np.sum(np.abs(frozen) ** 2, axis=0) @ pair)
-        return lambda block: block @ matrix
+        return matrix
 
-    return lambda block: block @ kinetic, lambda frozen: mean_field(frozen)(frozen), mean_field
+    def mean_field(frozen):
+        matrix = frozen_matrix(frozen)
+        # Gershgorin: each eigenvalue is within a row's off-diagonal sum of its diagonal
+        centres = matrix.diagonal().real
+        radii = np.sum(np.abs(matrix), axis=1) - np.abs(centres)
+        return (lambda block: block @ matrix), (np.min(centres - radii), np.max(centres + radii))
+
+    return lambda block: block @ kinetic, lambda frozen: frozen @ frozen_matrix(frozen), mean_field
 
 
 def _step_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
     """(half_kinetic, self_field, mean_field) of one step, on (k, M) blocks.
 
-    self_field(F) is H(F) F and mean_field(F) the operator frozen at F.  Small
-    grids apply them as dense matrices, larger ones by FFT.
+    self_field(F) is H(F) F, and mean_field(F) gives the operator frozen at F
+    with an interval (lo, hi) that holds its spectrum.  Small grids apply them
+    as dense matrices, larger ones by FFT.
     """
     if state.grid.site_count <= DENSE_STEP_SITES:
         return _dense_operators(state, potential, dt)
@@ -414,9 +413,7 @@ def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> Slat
 def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: float):
     """hf_step plus the Gram defect measured before re-orthonormalization.
 
-    Grids of at most DENSE_STEP_SITES sites apply the one-body operators as
-    cached dense matrices, larger ones by FFT with the midpoint exchange
-    compressed onto span(f_mid); both run the same step.
+    The dense and the FFT operators of _step_operators run this one step body.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -428,10 +425,10 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
 
     # predictor: first-order half-step of the mean-field flow fixes the midpoint
     f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * self_field(f1)
-    midpoint_field = mean_field(f_mid)
-    del f_mid  # the frozen operator holds no reference; freed, it lowers the Lanczos peak
+    midpoint_field, interval = mean_field(f_mid)
+    del f_mid  # the frozen operator holds no reference; freed, it lowers the propagator peak
 
-    f2 = _lanczos_expm(midpoint_field, f1, dt / p.epsilon, g.cell_volume)
+    f2 = _chebyshev_expm(midpoint_field, f1, dt / p.epsilon, interval)
 
     f3 = half_kinetic(f2)
 

@@ -349,10 +349,10 @@ def scenario_fock_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
 
 def scenario_fluctuation_ring(cfg: RunConfig, out: Path) -> ScenarioResult:
     """Exact Fock evolution vs mean field on a small ring; growth is measured."""
-    result = fluctuation_ring_run(
+    result = fock_mod.fluctuation_ring_run(
         m_sites=8,
         n_particles=2,
-        alpha=0.5,
+        alpha=cfg.alpha,
         dt=cfg.dt,
         t_final=cfg.t_final,
         length=cfg.length,
@@ -364,8 +364,8 @@ def scenario_fluctuation_ring(cfg: RunConfig, out: Path) -> ScenarioResult:
     _write_csv(out / "fluctuation_series.csv", "t,n_fluct,hs_distance", rows)
     sup_n = float(np.max(result["n_fluct"]))
     identity_err = float(result["identity_err"])
-    free = fluctuation_ring_run(
-        m_sites=8, n_particles=2, alpha=0.5, dt=cfg.dt, t_final=min(cfg.t_final, 0.2),
+    free = fock_mod.fluctuation_ring_run(
+        m_sites=8, n_particles=2, alpha=cfg.alpha, dt=cfg.dt, t_final=min(cfg.t_final, 0.2),
         length=cfg.length, n_snapshots=4, zero_potential=True,
     )
     free_max = float(np.max(np.abs(free["n_fluct"])))
@@ -384,87 +384,6 @@ def scenario_fluctuation_ring(cfg: RunConfig, out: Path) -> ScenarioResult:
         },
         files=[OutputFile("fluctuation_series.csv", "fock_micro", "fluctuation_growth_run")],
     )
-
-
-def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float,
-                         t_final: float, length: float, n_snapshots: int,
-                         zero_potential: bool = False) -> dict:
-    """Fluctuation-number series n(t) for an exact ring evolution vs the HF flow.
-
-    Initial state: translation-invariant Slater (lowest ring momenta), exact
-    Fock propagation of it, n(t) = fluctuation number of (gamma_t, omega_t),
-    plus the worst formula-vs-direct identity deviation over snapshots.
-    """
-    from hflab.states import lowest_modes, plane_wave
-
-    grid = Grid(1, m_sites, length)
-    params = ScaledParams(n_particles, alpha)
-    potential = power_law_potential(grid, alpha)
-    if zero_potential:
-        potential = dataclasses.replace(potential, values=np.zeros(grid.shape))
-    space = fock_mod.FockSpace(m_sites)
-    ops = fock_mod.all_annihilators(space)
-    ham = fock_mod.ring_hamiltonian(grid, params, potential)
-    orbitals = np.array(
-        [plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)]
-    )
-    initial = slater_state(grid, orbitals, params)
-    modes = np.sqrt(grid.cell_volume) * orbitals.reshape(n_particles, -1)
-    psi = space.vacuum()
-    for j in range(n_particles - 1, -1, -1):
-        psi = fock_mod.create_orbital(space, modes[j], ops) @ psi
-    n_steps = int(round(t_final / dt))
-    stride = max(1, n_steps // n_snapshots)
-    fock_snaps = fock_mod.evolve_exact(ham, psi, dt, n_steps, params.epsilon, stride)
-    hf_snaps, _ = run_hf(initial, potential, dt, n_steps, stride)
-    nop = fock_mod.number_operator(space)
-    times, series, hs_list = [], [], []
-    identity_err = 0.0
-    ref = fock_mod.particle_hole(space, range(n_particles))
-    for (t, psi_t), (_, hf_t) in zip(fock_snaps, hf_snaps):
-        gamma = fock_mod.gamma1(space, psi_t, ops)
-        omega = density_matrix(hf_t).matrix
-        n_val = fock_mod.fluctuation_number(gamma, omega)
-        # direct expectation through the transported particle-hole unitary
-        w_t = _extend_unitary(np.sqrt(grid.cell_volume) * hf_t.orbitals.reshape(n_particles, -1).T)
-        lift = fock_mod.lift_unitary(space, w_t)
-        r_t = lift @ ref.toarray() @ lift.conj().T
-        chi = r_t.conj().T @ psi_t
-        direct = float(np.real(np.vdot(chi, nop @ chi)))
-        identity_err = max(identity_err, abs(direct - n_val))
-        diff = gamma - omega
-        times.append(t)
-        series.append(n_val)
-        hs_list.append(float(np.linalg.norm(diff)))
-    # reference growth scale N^((3 - 2 alpha - 6 delta)/(3 - alpha)) at delta = 0.1;
-    # the measured prefactor is reported, never asserted
-    delta = 0.1
-    scale = float(n_particles) ** ((3.0 - 2.0 * alpha - 6.0 * delta) / (3.0 - alpha))
-    series = np.asarray(series)
-    return {
-        "times": np.asarray(times),
-        "n_fluct": series,
-        "hs": np.asarray(hs_list),
-        "identity_err": identity_err,
-        "reference_scale": scale,
-        "measured_constant": float(np.max(series)) / scale if scale > 0 else np.inf,
-    }
-
-
-def _extend_unitary(columns: np.ndarray) -> np.ndarray:
-    """Unitary whose first k columns are the given orthonormal columns."""
-    m, k = columns.shape
-    q, _ = np.linalg.qr(
-        np.concatenate([columns, np.eye(m, dtype=complex)], axis=1)
-    )
-    out = q[:, :m]
-    # make the first k columns exactly the inputs (QR may rotate phases)
-    out[:, :k] = columns
-    # re-orthonormalize the complement against the fixed block
-    comp = out[:, k:]
-    comp = comp - columns @ (columns.conj().T @ comp)
-    q2, _ = np.linalg.qr(comp)
-    return np.concatenate([columns, q2[:, : m - k]], axis=1)
 
 
 def scenario_window_audit(cfg: RunConfig, out: Path) -> ScenarioResult:

@@ -21,6 +21,7 @@ from hflab.fock import (
     audit_window_pair_bound,
     create_orbital,
     fluctuation_number,
+    fluctuation_ring_run,
     gamma1,
     lift_unitary,
     particle_hole,
@@ -39,7 +40,6 @@ from hflab.scenarios import (
     BASELINES,
     _two_packet_slater,
     build_config,
-    fluctuation_ring_run,
     run_scenario,
 )
 from hflab.semiclassics import (

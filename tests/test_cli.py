@@ -126,7 +126,7 @@ def test_verify_rejects_unknown_name_before_running(tmp_path, capsys):
 
 def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     def crash(cfg, out):
-        raise RuntimeError("Lanczos did not converge")
+        raise RuntimeError("Chebyshev propagator needs degree 60")
 
     monkeypatch.setitem(SCENARIOS, "fermi-ball-1d", (crash, "crashes"))
     code = main(
@@ -138,7 +138,7 @@ def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
     assert [r["scenario"] for r in runs] == ["fermi-ball-1d", "fdl-verify"]
     assert runs[0]["passed"] is False
-    assert runs[0]["error"] == "RuntimeError: Lanczos did not converge"
+    assert runs[0]["error"] == "RuntimeError: Chebyshev propagator needs degree 60"
     assert runs[0]["config"]["seed"] == 5
     assert runs[1]["passed"] is True
 
@@ -151,3 +151,18 @@ def test_diagnostics_toggle_disables_companion(tmp_path):
     assert result.passed
     assert "sup_over_N_eps" not in result.details
     assert not (tmp_path / "density_budget.csv").exists()
+
+
+def test_fluctuation_ring_honours_alpha(tmp_path):
+    series = {}
+    for alpha in (0.5, 0.25):
+        config = tmp_path / f"ring_{alpha}.json"
+        config.write_text(
+            json.dumps({"scenario": "fluctuation-ring", "alpha": alpha, "t_final": 0.2})
+        )
+        out = tmp_path / str(alpha)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        series[alpha] = (out / "fluctuation-ring" / "fluctuation_series.csv").read_bytes()
+        manifest = json.loads((out / "fluctuation-ring" / "manifest.json").read_text())
+        assert manifest["runs"][0]["config"]["alpha"] == alpha
+    assert series[0.25] != series[0.5]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import expm
 
 from hflab import hartree_fock as hf
 from hflab.hartree_fock import (
@@ -110,7 +110,7 @@ def test_exchange_kernel_consistency():
 
 
 def exact_fft_step(st, pot, dt):
-    """One step of the scheme with the exact exchange in every Lanczos application."""
+    """One step of the scheme with the exact exchange in every propagator application."""
     g, p = st.grid, st.params
     phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
     f1 = hf._kinetic_multiply(st.orbitals, phase)
@@ -119,12 +119,14 @@ def exact_fft_step(st, pot, dt):
     u_mid = hf._direct_potential(f_mid, pot, p.n_particles)
 
     def apply(block):
-        rows = block.reshape(f_mid.shape)
+        rows = block.reshape((len(block),) + g.shape)
         out = u_mid * rows - hf._exchange(rows, f_mid, pot, p.n_particles)
         return out.reshape(len(block), -1)
 
+    # the spectrum of the assembled operator is the exact interval
+    spectrum = np.linalg.eigvalsh(apply(np.eye(g.site_count, dtype=complex)))
     flat = f1.reshape(p.n_particles, -1)
-    f2 = hf._lanczos_expm(apply, flat, dt / p.epsilon, g.cell_volume).reshape(f1.shape)
+    f2 = hf._chebyshev_expm(apply, flat, dt / p.epsilon, (spectrum[0], spectrum[-1])).reshape(f1.shape)
     f3 = hf._kinetic_multiply(f2, phase)
     return SlaterState(g, loewdin_orthonormalize(g, f3), p, st.time + dt)
 
@@ -370,22 +372,6 @@ def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
     assert sum(counted) == pairs
 
 
-@pytest.mark.parametrize("m", range(1, 7))
-def test_stacked_small_exp_matches_per_orbital_tridiagonal(m):
-    rng = np.random.default_rng(12 + m)
-    k, tau = 5, 0.7
-    alphas = rng.standard_normal((k, m))
-    betas = np.abs(rng.standard_normal((k, m - 1))) + 0.1
-    ys = hf._small_exp(alphas, betas, tau)
-    for j in range(k):
-        if m == 1:
-            ref = np.exp(-1j * tau * alphas[j])
-        else:
-            vals, vecs = eigh_tridiagonal(alphas[j], betas[j])
-            ref = vecs @ (np.exp(-1j * tau * vals) * vecs[0, :])
-        assert np.max(np.abs(ys[j] - ref)) < 1e-13
-
-
 @pytest.mark.parametrize("dim,m,n", [(1, 32, 3), (3, 8, 4)])
 def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
     g = Grid(dim, m)
@@ -410,17 +396,56 @@ def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
     assert hf_energy(st, pot) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
-def test_lanczos_raises_when_not_converged(monkeypatch, sites):
+def midpoint_operator(monkeypatch, sites, make_potential=power_law_potential):
+    # the frozen mean field of a 1d m64 N4 packet state on the path DENSE_STEP_SITES selects
     monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
     g = Grid(1, 64)
     p = ScaledParams(4, 0.5)
-    pot = power_law_potential(g, 0.5)
     st = packet_slater(g, p)
     f = st.orbitals.reshape(p.n_particles, -1)
-    _, _, mean_field = hf._step_operators(st, pot, 1e-2)
+    _, _, mean_field = hf._step_operators(st, make_potential(g, 0.5), 1e-3)
+    apply, interval = mean_field(f)
+    return p, f, apply, interval, apply(np.eye(g.site_count, dtype=complex))
+
+
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_lanczos_raises_when_not_converged(monkeypatch, sites):
+    # the degree the Bessel tail bound asks for exceeds the cap
+    p, f, apply, interval, _ = midpoint_operator(monkeypatch, sites)
+    monkeypatch.setattr(hf, "CHEBYSHEV_MAX_DEGREE", 2)
     with pytest.raises(RuntimeError, match="residual"):
-        hf._lanczos_expm(mean_field(f), f, 1e-2 / p.epsilon, g.cell_volume, max_m=2)
+        hf._chebyshev_expm(apply, f, 1e-2 / p.epsilon, interval)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-1, 2.0])
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_chebyshev_expm_matches_dense_expm(monkeypatch, sites, tau):
+    # degrees 3, 7 and 16 at these phases, on both paths
+    p, f, apply, interval, matrix = midpoint_operator(monkeypatch, sites)
+    got = hf._chebyshev_expm(apply, f, tau / p.epsilon, interval)
+    expected = f @ expm(-1j * (tau / p.epsilon) * matrix)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_mean_field_interval_contains_spectrum(monkeypatch, sites):
+    _, _, _, (lo, hi), matrix = midpoint_operator(monkeypatch, sites)
+    spectrum = np.linalg.eigvalsh(matrix)
+    assert lo <= spectrum[0] and spectrum[-1] <= hi
+    # a bound, not a guess: no wider than twice the spectral radius
+    assert hi - lo <= 4 * np.max(np.abs(spectrum))
+
+
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_chebyshev_zero_potential_is_degree_zero(monkeypatch, sites):
+    p, f, apply, interval, matrix = midpoint_operator(monkeypatch, sites, zero_potential)
+    assert interval == (0.0, 0.0) and not np.any(matrix)
+    assert len(hf._chebyshev_coefficients(0.0)) == 1
+
+    def never(block):
+        raise AssertionError("degree 0 applies no operator")
+
+    assert np.array_equal(hf._chebyshev_expm(never, f, 1e-2 / p.epsilon, interval), f)
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 64, 4), (1, 128, 8), (2, 8, 4)])
@@ -471,7 +496,8 @@ def compressed_fixture(make_potential=power_law_potential):
     f = f + 0.05 * (rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape))
     image = hf._exchange(f, f, pot, p.n_particles).reshape(p.n_particles, -1)
     flat = f.reshape(p.n_particles, -1)
-    return g, flat, image, hf._compressed_exchange(flat, image, g.cell_volume), rng
+    exchange, _ = hf._compressed_exchange(flat, image, g.cell_volume)
+    return g, flat, image, exchange, rng
 
 
 def test_compressed_exchange_is_exact_on_frozen_span():
@@ -518,15 +544,16 @@ def test_compressed_path_energy_conservation_and_order(monkeypatch):
 def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
     # a tdhf-3d step: two pair-symmetric self-exchanges (the predictor's X f1
     # and the midpoint's X f_mid), N(N+1)/2 = 136 pair transforms each, and no
-    # transform at all inside Lanczos
+    # transform at all inside the propagator
     g = Grid(3, 32)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
     st = random_slater(g, p, np.random.default_rng(51))
     pot.v_hat  # the transform of V itself is not a pair density
     phase = [None]
-    counted = {"exchange": [], "lanczos": []}
+    counted = {"exchange": [], "propagator": []}
     exchanges = []
+    entered = []
     fftn = scipy.fft.fftn
 
     def spy_fftn(x, *args, **kwargs):
@@ -536,6 +563,7 @@ def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
 
     def in_phase(name, original):
         def run(*args, **kwargs):
+            entered.append(name)
             phase[0] = name
             try:
                 return original(*args, **kwargs)
@@ -552,18 +580,19 @@ def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
 
     monkeypatch.setattr(scipy.fft, "fftn", spy_fftn)
     monkeypatch.setattr(hf, "_exchange", spy_exchange)
-    monkeypatch.setattr(hf, "_lanczos_expm", in_phase("lanczos", hf._lanczos_expm))
+    monkeypatch.setattr(hf, "_chebyshev_expm", in_phase("propagator", hf._chebyshev_expm))
     hf_step(st, pot, 1e-3)
     assert exchanges == [True, True]
+    assert entered == ["exchange", "exchange", "propagator"]
     assert sum(counted["exchange"]) == 272
-    assert counted["lanczos"] == []
+    assert counted["propagator"] == []
 
 
 @pytest.mark.parametrize("dim,m,n,calls", [(1, 64, 4, 0), (3, 8, 7, 12)], ids=["dense", "fft"])
 def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
     # FFT path: kinetic halves 4, two direct potentials 4, and 4 for the two
     # self-exchanges (predictor and midpoint) with all pair densities in one
-    # batched transform; Lanczos applies the compressed exchange with no FFT
+    # batched transform; the propagator applies the compressed exchange with no FFT
     g = Grid(dim, m)
     p = ScaledParams(n, 0.5)
     pot = power_law_potential(g, 0.5)
@@ -583,8 +612,8 @@ def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
 
 
 def test_step_memory_bounded():
-    # one basis row per Lanczos iteration; a basis preallocated for
-    # LANCZOS_MAX rows would alone take 40 MiB here
+    # the propagator keeps at most four orbital blocks alive at any degree; a
+    # basis preallocated for 40 rows would alone take 40 MiB here
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
@@ -604,7 +633,7 @@ def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
     pot = power_law_potential(g, 1.0)
     st = random_slater(g, p, np.random.default_rng(30))
     f = st.orbitals
-    # a Lanczos block is a different orbital set acted on by the same X
+    # a propagator block is a different orbital set acted on by the same X
     other = random_slater(g, p, np.random.default_rng(31)).orbitals
     u = hf._direct_potential(f, pot, p.n_particles)
     pot.v_hat  # the transform of V is set-up, not part of one application
