@@ -24,20 +24,28 @@ import numpy as np
 import scipy
 
 import hflab
-from hflab.scenarios import SCENARIOS, RunConfig, build_config, run_scenario
+from hflab.scenarios import (
+    SCENARIO_DEFAULTS,
+    SCENARIOS,
+    RunConfig,
+    build_config,
+    run_scenario,
+)
 
 
 def _load_config(path: str, scenario: str | None, seed: int | None) -> RunConfig:
-    text = Path(path).read_text()
-    data = json.loads(text)
+    """The file's fields over the preset defaults of its scenario; --seed wins over both."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("a config file holds one JSON object")
     if scenario is not None:
         data["scenario"] = scenario
     if seed is not None:
         data["seed"] = seed
-    cfg = RunConfig.from_json(json.dumps(data))
-    if cfg.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario '{cfg.scenario}'")
-    return cfg
+    name = data.get("scenario")
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario '{name}'")
+    return RunConfig.from_json(json.dumps({**SCENARIO_DEFAULTS.get(name, {}), **data}))
 
 
 def _write_manifest(out: Path, entries: list) -> None:

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from hflab.hartree_fock import SlaterState, hf_step
 from hflab.lattice import DenseOperator, Grid, ScaledParams
@@ -155,46 +156,51 @@ def _kinetic_symbol(g: Grid, n: int, epsilon: float) -> np.ndarray:
 
 
 def nbody_step(state: NBodyState, potential: PowerLawPotential, dt: float,
-               _cache: dict | None = None) -> NBodyState:
-    """Strang step: half kinetic (Fourier), full interaction phase, half kinetic."""
+               n_steps: int = 1) -> NBodyState:
+    """n_steps Strang steps K/2 I K/2, fused: the K/2 ending one step and the K/2
+    starting the next are one full kinetic phase (Feit, Fleck & Steiger 1982).
+
+    2 n_steps + 2 in-place transforms instead of 4 n_steps; the time still
+    accumulates += dt per step.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     g, n, p = state.grid, state.n, state.params
-    if _cache is None:
-        _cache = {}
-    key = (id(potential), dt)
-    if _cache.get("key") != key:
-        total = _kinetic_symbol(g, n, p.epsilon)
-        diag = pair_interaction_diagonal(g, n, potential, p.coupling)
-        _cache["kin_half"] = np.exp(-1j * (dt / 2.0) * total / p.epsilon)
-        _cache["int_full"] = np.exp(-1j * dt * diag / p.epsilon)
-        _cache["key"] = key
-    psi = np.fft.fftn(state.psi)
-    psi = np.fft.ifftn(_cache["kin_half"] * psi)
-    psi = _cache["int_full"] * psi
-    psi = np.fft.fftn(psi)
-    psi = np.fft.ifftn(_cache["kin_half"] * psi)
-    return NBodyState(g, n, psi, p, state.time + dt)
+    total = _kinetic_symbol(g, n, p.epsilon)
+    kin_half = np.exp(-1j * (dt / 2.0) * total / p.epsilon)
+    kin_full = np.exp(-1j * dt * total / p.epsilon)
+    diag = pair_interaction_diagonal(g, n, potential, p.coupling)
+    int_full = np.exp(-1j * dt * diag / p.epsilon)
+    psi = scipy.fft.fftn(state.psi)
+    psi *= kin_half
+    t = state.time
+    for step in range(1, n_steps + 1):
+        psi = scipy.fft.ifftn(psi, overwrite_x=True)
+        psi *= int_full
+        psi = scipy.fft.fftn(psi, overwrite_x=True)
+        psi *= kin_full if step < n_steps else kin_half
+        t += dt
+    return NBodyState(g, n, scipy.fft.ifftn(psi, overwrite_x=True), p, t)
 
 
 def run_nbody(state: NBodyState, potential: PowerLawPotential, dt: float,
               n_steps: int, snapshot_every: int | None = None):
     if snapshot_every is None:
         snapshot_every = max(1, n_steps)
-    cache: dict = {}
-    current = state.copy()
-    snaps = [(current.time, current.copy())]
-    for step in range(1, n_steps + 1):
-        current = nbody_step(current, potential, dt, cache)
-        if step % snapshot_every == 0 or step == n_steps:
-            snaps.append((current.time, current.copy()))
+    current = state.copy()  # nbody_step returns new states, so snapshots share no data
+    snaps = [(current.time, current)]
+    for done in range(0, n_steps, snapshot_every):
+        current = nbody_step(current, potential, dt, min(snapshot_every, n_steps - done))
+        snaps.append((current.time, current))
     return snaps
 
 
 def nbody_energy(state: NBodyState, potential: PowerLawPotential) -> float:
     g, n, p = state.grid, state.n, state.params
     total = _kinetic_symbol(g, n, p.epsilon)
-    hat = np.fft.fftn(state.psi)
+    hat = scipy.fft.fftn(state.psi)
     w = g.cell_volume**n
     kinetic = w * np.sum(total * np.abs(hat) ** 2) / g.site_count**n
     diag = pair_interaction_diagonal(g, n, potential, p.coupling)
@@ -230,7 +236,6 @@ def hf_vs_exact_probe(initial: SlaterState, potential: PowerLawPotential,
 
     exact = slater_wavefunction(initial)
     hf_state = initial.copy()
-    cache: dict = {}
     rows = []
 
     def report(t, ex, hfs):
@@ -252,11 +257,12 @@ def hf_vs_exact_probe(initial: SlaterState, potential: PowerLawPotential,
         )
 
     report(0.0, exact, hf_state)
-    for step in range(1, n_steps + 1):
-        exact = nbody_step(exact, potential, dt, cache)
-        hf_state = hf_step(hf_state, potential, dt)
-        if step % snapshot_every == 0 or step == n_steps:
-            report(exact.time, exact, hf_state)
+    for done in range(0, n_steps, snapshot_every):
+        segment = min(snapshot_every, n_steps - done)
+        exact = nbody_step(exact, potential, dt, segment)
+        for _ in range(segment):
+            hf_state = hf_step(hf_state, potential, dt)
+        report(exact.time, exact, hf_state)
     return rows
 
 

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from hflab.hartree_fock import density_matrix, run_hf, slater_state
-from hflab.lattice import Grid, ScaledParams
+from hflab.lattice import DENSE_SIDE_CAP, Grid, ScaledParams
 from hflab.potentials import PowerLawPotential, power_law_potential
 from hflab.states import lowest_modes, plane_wave
 
@@ -245,12 +245,16 @@ def ring_hamiltonian(grid: Grid, params: ScaledParams,
 
 def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
                  n_steps: int, epsilon: float, snapshot_every: int | None = None):
-    """exp(-i H t / eps) psi sampled along the way; dense step matrix for dim <= 1024."""
+    """exp(-i H t / eps) psi sampled along the way.
+
+    Up to DENSE_SIDE_CAP basis states one dense step matrix is applied per
+    step; beyond it one expm_multiply goes straight to each report time.
+    """
     if snapshot_every is None:
         snapshot_every = max(1, n_steps)
     dim = psi.shape[0]
     snaps = [(0.0, psi.copy())]
-    if dim <= 1024:
+    if dim <= DENSE_SIDE_CAP:
         u_dt = expm((-1j * dt / epsilon) * ham.toarray())
         current = psi.copy()
         for step in range(1, n_steps + 1):
@@ -260,12 +264,11 @@ def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
     else:
         from scipy.sparse.linalg import expm_multiply
 
-        current = psi.copy()
-        op = (-1j * dt / epsilon) * ham
-        for step in range(1, n_steps + 1):
-            current = expm_multiply(op, current)
-            if step % snapshot_every == 0 or step == n_steps:
-                snaps.append((step * dt, current.copy()))
+        current = psi
+        for done in range(0, n_steps, snapshot_every):
+            step = min(done + snapshot_every, n_steps)
+            current = expm_multiply((-1j * (step - done) * dt / epsilon) * ham, current)
+            snaps.append((step * dt, current))
     return snaps
 
 

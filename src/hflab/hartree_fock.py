@@ -90,7 +90,7 @@ class SlaterState:
         return self.grid.cell_volume * (flat.conj() @ flat.T)
 
     def gram_defect(self) -> float:
-        return float(np.max(np.abs(self.gram() - np.eye(self.n_orbitals))))
+        return _gram_defect(self.gram())
 
     def copy(self) -> "SlaterState":
         return SlaterState(self.grid, self.orbitals.copy(), self.params, self.time)
@@ -105,9 +105,15 @@ def slater_state(grid, orbitals, params, time=0.0, tol=1e-8) -> SlaterState:
     return state
 
 
-def _loewdin_transform(flat: np.ndarray, cell_volume: float) -> np.ndarray:
-    """S such that the rows of S @ flat are the Loewdin orthonormalization of flat."""
-    gram = cell_volume * (flat.conj() @ flat.T)
+def _gram_defect(gram: np.ndarray) -> float:
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
+
+
+def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
+    """S such that the rows of S @ flat are the Loewdin orthonormalization of flat.
+
+    `gram` is the Gram matrix h^d conj(flat) flat^T of the rows.
+    """
     vals, vecs = np.linalg.eigh(gram)
     if np.min(vals) <= 1e-14:
         raise ValueError("orbital family is numerically rank deficient")
@@ -116,10 +122,16 @@ def _loewdin_transform(flat: np.ndarray, cell_volume: float) -> np.ndarray:
     return inv_sqrt.T
 
 
-def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
-    """Symmetric (minimal-change) orthonormalization of an orbital block."""
+def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray,
+                           gram: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric (minimal-change) orthonormalization of an orbital block.
+
+    A caller that already holds the block's Gram matrix passes it as `gram`.
+    """
     flat = np.asarray(orbitals, dtype=complex).reshape(len(orbitals), -1)
-    return (_loewdin_transform(flat, grid.cell_volume) @ flat).reshape(np.asarray(orbitals).shape)
+    if gram is None:
+        gram = grid.cell_volume * (flat.conj() @ flat.T)
+    return (_loewdin_transform(gram) @ flat).reshape(np.asarray(orbitals).shape)
 
 
 def density(state: SlaterState) -> Field:
@@ -190,7 +202,7 @@ def _compressed_exchange(frozen, image, cell_volume):
     density.  The rows q are orthonormal, so ||X~|| <= 2 ||z||, read off the
     N x N Gram matrix of z.
     """
-    s = _loewdin_transform(frozen, cell_volume)
+    s = _loewdin_transform(cell_volume * (frozen.conj() @ frozen.T))
     q = s @ frozen
     z = s @ image
     core = cell_volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
@@ -433,13 +445,14 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
     f3 = half_kinetic(f2)
 
     out = SlaterState(g, f3.reshape(state.orbitals.shape), p, state.time + dt)
-    defect = out.gram_defect()
+    gram = out.gram()  # one Gram matrix serves the drift check and the Loewdin transform
+    defect = _gram_defect(gram)
     if defect > GRAM_ABORT:
         raise RuntimeError(
             f"orthonormality drift {defect:.3e} exceeds {GRAM_ABORT:.0e} at "
             f"t={out.time:.6f}; aborting run"
         )
-    out.orbitals = loewdin_orthonormalize(g, out.orbitals)
+    out.orbitals = loewdin_orthonormalize(g, out.orbitals, gram)
     return out, defect
 
 

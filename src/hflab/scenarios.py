@@ -272,6 +272,8 @@ def scenario_gaussian_packets(cfg: RunConfig, out: Path) -> ScenarioResult:
 
 
 def _two_packet_slater(grid: Grid, params: ScaledParams) -> "SlaterState":
+    if params.n_particles not in (2, 3):
+        raise ValueError(f"the exact probe takes 2 or 3 particles, got {params.n_particles}")
     width = grid.length / 16.0
     c = grid.length
     orbs = [
@@ -283,9 +285,9 @@ def _two_packet_slater(grid: Grid, params: ScaledParams) -> "SlaterState":
     return slater_state(grid, loewdin_orthonormalize(grid, np.array(orbs)), params)
 
 
-def _exact_probe(cfg: RunConfig, out: Path, name: str, n_particles: int, m: int,
-                 alphas) -> ScenarioResult:
-    grid = Grid(1, m, cfg.length)
+def _exact_probe(cfg: RunConfig, out: Path, name: str, alphas) -> ScenarioResult:
+    n_particles = cfg.n_particles
+    grid = Grid(1, cfg.m, cfg.length)
     n_steps = int(round(cfg.t_final / cfg.dt))
     stride = max(1, n_steps // 10)
     all_pass = True
@@ -318,11 +320,11 @@ def _exact_probe(cfg: RunConfig, out: Path, name: str, n_particles: int, m: int,
 
 
 def scenario_hf_vs_exact_n2(cfg: RunConfig, out: Path) -> ScenarioResult:
-    return _exact_probe(cfg, out, "hf-vs-exact-n2", 2, 64, (0.5, 1.0))
+    return _exact_probe(cfg, out, "hf-vs-exact-n2", (0.5, 1.0))
 
 
 def scenario_hf_vs_exact_n3(cfg: RunConfig, out: Path) -> ScenarioResult:
-    return _exact_probe(cfg, out, "hf-vs-exact-n3", 3, 16, (0.5,))
+    return _exact_probe(cfg, out, "hf-vs-exact-n3", (0.5,))
 
 
 def scenario_fock_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
@@ -485,8 +487,10 @@ SCENARIOS = {
     "fermi-ball-1d": (scenario_fermi_ball_1d, "stationary translation-invariant flow, 1d"),
     "fermi-ball-3d": (scenario_fermi_ball_3d, "stationary translation-invariant flow, 3d"),
     "gaussian-packets": (scenario_gaussian_packets, "semiclassical commutator scaling probe"),
-    "hf-vs-exact-n2": (scenario_hf_vs_exact_n2, "two-body exact vs mean field, d=1, M=64"),
-    "hf-vs-exact-n3": (scenario_hf_vs_exact_n3, "three-body exact vs mean field, d=1, M=16"),
+    "hf-vs-exact-n2": (scenario_hf_vs_exact_n2,
+                       "two-body exact vs mean field, d=1, default M=64, alpha 0.5 and 1 fixed"),
+    "hf-vs-exact-n3": (scenario_hf_vs_exact_n3,
+                       "three-body exact vs mean field, d=1, default M=16, alpha 0.5 fixed"),
     "fock-audit": (scenario_fock_audit, "second-quantization inequality audit"),
     "fluctuation-ring": (scenario_fluctuation_ring, "fluctuation growth on a small ring"),
     "window-audit": (scenario_window_audit, "window-commutator trace bound audit"),

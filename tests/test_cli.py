@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hflab.cli import main
+from hflab.cli import _load_config, main
 from hflab.scenarios import SCENARIOS, RunConfig, build_config, run_scenario
 
 
@@ -166,3 +166,50 @@ def test_fluctuation_ring_honours_alpha(tmp_path):
         manifest = json.loads((out / "fluctuation-ring" / "manifest.json").read_text())
         assert manifest["runs"][0]["config"]["alpha"] == alpha
     assert series[0.25] != series[0.5]
+
+
+def test_config_file_starts_from_preset_defaults(tmp_path):
+    config = tmp_path / "preset.json"
+    for name in SCENARIOS:
+        config.write_text(json.dumps({"scenario": name}))
+        assert _load_config(str(config), None, None) == build_config(name)
+        assert _load_config(str(config), None, 9) == build_config(name, seed=9)
+    # file fields win over the preset, --seed over both
+    config.write_text(json.dumps({"scenario": "fermi-ball-1d", "m": 32, "seed": 3}))
+    cfg = _load_config(str(config), None, 9)
+    assert (cfg.m, cfg.n_particles, cfg.seed) == (32, 8, 9)
+
+
+def test_ring_config_runs_at_preset_alpha(tmp_path):
+    config = tmp_path / "ring.json"
+    config.write_text(json.dumps({"scenario": "fluctuation-ring"}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "fluctuation-ring" / "manifest.json").read_text())
+    assert manifest["runs"][0]["config"]["alpha"] == 0.5
+
+
+def test_cli_config_unknown_field_exit_code(tmp_path, capsys):
+    config = tmp_path / "bogus.json"
+    config.write_text(json.dumps({"scenario": "fluctuation-ring", "bogus": 1}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_exact_probe_honours_grid_size(tmp_path):
+    series = {}
+    for m in (64, 32):
+        config = tmp_path / f"n2_{m}.json"
+        config.write_text(json.dumps({"scenario": "hf-vs-exact-n2", "m": m, "t_final": 0.05}))
+        out = tmp_path / str(m)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        series[m] = (out / "hf-vs-exact-n2" / "hf_vs_exact_n2_alpha0.5.csv").read_bytes()
+        manifest = json.loads((out / "hf-vs-exact-n2" / "manifest.json").read_text())
+        assert manifest["runs"][0]["config"]["m"] == m
+    assert series[32] != series[64]
+
+
+def test_exact_probe_rejects_other_particle_numbers(tmp_path, capsys):
+    config = tmp_path / "n4.json"
+    config.write_text(json.dumps({"scenario": "hf-vs-exact-n3", "n_particles": 4}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "2 or 3 particles" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import expm
 
 from hflab.fewbody import (
@@ -9,6 +11,7 @@ from hflab.fewbody import (
     antisymmetrize,
     hf_vs_exact_probe,
     nbody_energy,
+    nbody_step,
     pair_interaction_diagonal,
     reduced_density,
     run_nbody,
@@ -188,3 +191,80 @@ def test_size_cap():
     p = ScaledParams(3, 0.5)
     with pytest.raises(ValueError):
         NBodyState(g, 3, np.zeros(g.shape * 3, dtype=complex), p)
+
+
+def strang_reference_step(state, potential, dt):
+    """One unfused Strang step K/2 I K/2: four numpy.fft transforms per dt."""
+    g, n, p = state.grid, state.n, state.params
+    total = functools.reduce(np.add.outer, [p.epsilon**2 * g.momentum_squared()] * n)
+    kin_half = np.exp(-1j * (dt / 2.0) * total / p.epsilon)
+    diag = pair_interaction_diagonal(g, n, potential, p.coupling)
+    int_full = np.exp(-1j * dt * diag / p.epsilon)
+    psi = np.fft.ifftn(kin_half * np.fft.fftn(state.psi))
+    psi = np.fft.ifftn(kin_half * np.fft.fftn(int_full * psi))
+    return NBodyState(g, n, psi, p, state.time + dt)
+
+
+FUSED_CASES = {"1d-m64-N2": (1, 64, 2), "1d-m16-N3": (1, 16, 3), "2d-m8-N2": (2, 8, 2)}
+
+
+def fused_case(case):
+    dim, m, n = FUSED_CASES[case]
+    g = Grid(dim, m)
+    p = ScaledParams(n, 0.5)
+    st = random_slater(g, p, np.random.default_rng(m + n))
+    return slater_wavefunction(st), power_law_potential(g, 0.5)
+
+
+@pytest.mark.parametrize("k", [1, 7, 100])
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_steps_match_stepwise_strang(case, k):
+    psi, pot = fused_case(case)
+    dt = 1e-2
+    ref = psi
+    for _ in range(k):
+        ref = strang_reference_step(ref, pot, dt)
+    fused = nbody_step(psi, pot, dt, k)
+    assert np.linalg.norm(fused.psi - ref.psi) <= 1e-13 * np.linalg.norm(ref.psi)
+    assert fused.time == ref.time
+    assert np.linalg.norm(ref.psi - psi.psi) > 1e-3  # the k steps do move the state
+
+
+@pytest.mark.parametrize("k", [1, 7, 100])
+def test_fused_step_transform_count(monkeypatch, k):
+    psi, pot = fused_case("1d-m16-N3")
+    before = psi.psi.copy()
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def spy(*args, _real=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called on the propagation path")
+
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    nbody_step(psi, pot, 1e-2, k)
+    assert len(calls) == 2 * k + 2
+    assert calls.count("fftn") == calls.count("ifftn") == k + 1
+    assert np.array_equal(psi.psi, before)  # in-place transforms leave the input alone
+    with pytest.raises(ValueError):
+        nbody_step(psi, pot, 1e-2, 0)
+
+
+def test_probe_row_times_accumulate_per_step():
+    g = Grid(1, 16)
+    p = ScaledParams(2, 0.5)
+    dt, n_steps, every = 1e-3, 25, 10
+    rows = hf_vs_exact_probe(two_packet_state(g, p), power_law_potential(g, 0.5), dt,
+                             n_steps, every)
+    expect, t = [0.0], 0.0
+    for step in range(1, n_steps + 1):
+        t += dt
+        if step % every == 0 or step == n_steps:
+            expect.append(t)
+    # bit for bit: 10 * 1e-3 summed is 0.010000000000000002, not 0.01
+    assert [r.time for r in rows] == expect

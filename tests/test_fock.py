@@ -510,3 +510,29 @@ def test_exact_evolution_matches_dense_expm():
     _, psi_t = snaps[-1]
     direct = expm(-1j * 0.5 / p.epsilon * ham.toarray()) @ psi0
     assert np.max(np.abs(psi_t - direct)) < 1e-9
+
+
+def test_exact_evolution_sparse_branch_one_call_per_report(monkeypatch):
+    import scipy.sparse.linalg
+
+    from hflab import fock
+
+    calls = []
+    real = scipy.sparse.linalg.expm_multiply
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "DENSE_SIDE_CAP", 32)  # the 64-state ring goes sparse
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+    g = Grid(1, 6)
+    p = ScaledParams(2, 0.5)
+    ham = ring_hamiltonian(g, p, power_law_potential(g, 0.5))
+    psi0 = slater_vector(FockSpace(6), [0, 1])
+    snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
+    assert len(calls) == 3  # reports after steps 2, 4 and 5
+    assert [t for t, _ in snaps] == [s * 0.1 for s in (0, 2, 4, 5)]
+    for t, psi_t in snaps:
+        direct = expm(-1j * t / p.epsilon * ham.toarray()) @ psi0
+        assert np.max(np.abs(psi_t - direct)) < 1e-9
