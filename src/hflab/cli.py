@@ -24,13 +24,7 @@ import numpy as np
 import scipy
 
 import hflab
-from hflab.scenarios import (
-    SCENARIO_DEFAULTS,
-    SCENARIOS,
-    RunConfig,
-    build_config,
-    run_scenario,
-)
+from hflab.scenarios import SCENARIOS, RunConfig, build_config, run_scenario
 
 
 def _load_config(path: str, scenario: str | None, seed: int | None) -> RunConfig:
@@ -38,14 +32,8 @@ def _load_config(path: str, scenario: str | None, seed: int | None) -> RunConfig
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("a config file holds one JSON object")
-    if scenario is not None:
-        data["scenario"] = scenario
-    if seed is not None:
-        data["seed"] = seed
-    name = data.get("scenario")
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario '{name}'")
-    return RunConfig.from_json(json.dumps({**SCENARIO_DEFAULTS.get(name, {}), **data}))
+    name = data.pop("scenario", None)
+    return build_config(name if scenario is None else scenario, seed, overrides=data)
 
 
 def _write_manifest(out: Path, entries: list) -> None:
@@ -64,15 +52,17 @@ def _write_manifest(out: Path, entries: list) -> None:
 
 
 def _result_entry(cfg: RunConfig, result) -> dict:
+    # everything here is a function of (config, seed): wall times and other
+    # run-to-run values belong beside "runs", which must stay comparable
     return {
         "scenario": result.name,
         "config": dataclasses.asdict(cfg),
         "passed": result.passed,
-        "details": _jsonable(result.details),
-        "files": [
-            {"name": f.name, "module": f.module, "operation": f.operation}
-            for f in result.files
-        ],
+        "checks": _jsonable(
+            [{**dataclasses.asdict(c), "passed": c.passed} for c in result.checks]
+        ),
+        "report": _jsonable(result.report),
+        "files": sorted(result.tables),
     }
 
 
@@ -112,15 +102,17 @@ def cmd_run(args) -> int:
     _write_manifest(out, [_result_entry(cfg, result)])
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.name}: {status}")
-    for key, val in result.details.items():
+    for c in result.checks:
+        print(f"  {c.name}: {c.value} {c.relation} {c.bound} {'ok' if c.passed else 'FAILED'}")
+    for key, val in result.report.items():
         print(f"  {key}: {val}")
     return 0 if result.passed else 1
 
 
 def cmd_list(_args) -> int:
     rows = []
-    for name, (fn, desc) in SCENARIOS.items():
-        rows.append((name, fn.__module__ + "." + fn.__name__, desc))
+    for name, preset in SCENARIOS.items():
+        rows.append((name, preset.run.__module__ + "." + preset.run.__name__, preset.description))
     width = max(len(r[0]) for r in rows)
     for name, entry_point, desc in rows:
         print(f"{name:<{width}}  {desc}")

@@ -264,13 +264,3 @@ def hf_vs_exact_probe(initial: SlaterState, potential: PowerLawPotential,
             hf_state = hf_step(hf_state, potential, dt)
         report(exact.time, exact, hf_state)
     return rows
-
-
-def distance_rows_to_csv(rows: list, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,hs,trace,n_fluct,sqrtN,N\n")
-        for r in rows:
-            fh.write(
-                f"{r.time:.17g},{r.hs:.17g},{r.trace:.17g},"
-                f"{r.n_fluct:.17g},{r.sqrt_n:.17g},{r.n}\n"
-            )

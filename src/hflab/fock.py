@@ -366,10 +366,6 @@ class BoundRecord:
     max_slack: float
     note: str = ""
 
-    @property
-    def violated(self) -> bool:
-        return self.max_slack > 1e-10
-
 
 def _random_state(space: FockSpace, rng) -> np.ndarray:
     psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)

@@ -72,12 +72,6 @@ class RadialQuadrature:
         ):
             raise ValueError("cutoff must lie inside the node range")
 
-    def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r_node,weight\n")
-            for r, w in zip(self.nodes, self.weights):
-                fh.write(f"{r:.17g},{w:.17g}\n")
-
 
 def radial_quadrature(
     alpha: float, r_min: float = 1e-3, r_max: float = 1e3, n_nodes: int = 400

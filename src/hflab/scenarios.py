@@ -1,5 +1,6 @@
-"""Scenario presets: configured runs wiring the modules together, each with its
-own pass/fail audit and CSV reports.
+"""Scenario presets: pure functions `RunConfig -> ScenarioResult` that return
+their gates as `Check`s, their CSV tables and the measured values no gate
+reads; `run_scenario` writes the tables, and the verdict follows from the checks.
 
 Every preset is deterministic given (config, seed).  Measured-constant
 regressions compare against the frozen baselines below (recorded from the
@@ -11,29 +12,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import operator
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from hflab import energy as energy_mod
 from hflab import fock as fock_mod
 from hflab import semiclassics as sc
-from hflab.fewbody import distance_rows_to_csv, hf_vs_exact_probe
+from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
-    density_matrix,
-    hs_distance_squared,
-    run_hf,
-    slater_state,
-    loewdin_orthonormalize,
+    density_matrix, hs_distance_squared, loewdin_orthonormalize, run_hf, slater_state,
 )
 from hflab.lattice import Grid, ScaledParams, operator_norms
 from hflab.potentials import (
-    fdl_constant,
-    fdl_reconstruct,
-    power_law_potential,
-    radial_quadrature,
-    split_quadrature,
+    fdl_constant, fdl_reconstruct, power_law_potential, radial_quadrature, split_quadrature,
 )
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, random_slater
 
@@ -43,6 +40,11 @@ BASELINES = {
     "hls_ratio_fermi_ball_3d": 2.335094666759028,
     "fluct_ring_sup": 0.011901995072597593,
 }
+
+# annotation of a config field -> accepted types; `validate` also rejects bool,
+# which is a subclass of int
+FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+               "float | None": (int, float, type(None))}
 
 
 @dataclass
@@ -62,9 +64,12 @@ class RunConfig:
     delta: float = 0.1
     lp_exponent: float = 6.0
     seed: int = 2024
-    diagnostics: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[f.type]):
+                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.dim not in (1, 2, 3):
             raise ValueError("config field dim must be 1, 2 or 3")
         if self.m < 8 or (self.m & (self.m - 1)) != 0:
@@ -85,14 +90,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """The preset's defaults, then the fields of `text` (see `build_config`)."""
         data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return build_config(data.pop("scenario", None), overrides=data)
 
     def params(self) -> ScaledParams:
         return ScaledParams(self.n_particles, self.alpha, self.epsilon_override)
@@ -101,56 +101,65 @@ class RunConfig:
         return Grid(self.dim, self.m, self.length)
 
 
-@dataclass
-class OutputFile:
+RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: it passes iff `value relation bound`.  NaN fails every relation."""
+
     name: str
-    module: str
-    operation: str
+    value: float
+    relation: str
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(RELATIONS[self.relation](self.value, self.bound))
 
 
 @dataclass
 class ScenarioResult:
     name: str
-    passed: bool
-    details: dict
-    files: list
+    checks: list  # of Check
+    tables: dict  # CSV file name -> (header, rows of cells)
+    report: dict = field(default_factory=dict)  # measured values no gate reads
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def write_table(path, header: str, rows) -> None:
+    """The one CSV writer: floats as `.17g` (an exact round trip), other cells by `str`."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
 
 
-def _fmt(*vals) -> str:
-    out = []
-    for v in vals:
-        out.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-    return ",".join(out)
+def _stationary_flow(grid: Grid, params: ScaledParams, cfg: RunConfig, stride: int):
+    """HF flow of the Fermi ball: (potential, initial, snapshots, Gram drift, HS/sqrt(N))."""
+    potential = power_law_potential(grid, cfg.alpha)
+    initial = fermi_ball(grid, params)
+    snaps, drift = run_hf(initial, potential, cfg.dt, int(round(cfg.t_final / cfg.dt)), stride)
+    root_n = np.sqrt(params.n_particles)
+    dists = [np.sqrt(max(hs_distance_squared(s, initial), 0.0)) / root_n for _, s in snaps]
+    return potential, initial, snaps, float(drift), dists
 
 
-# ---------------------------------------------------------------------------
-
-
-def scenario_fdl_verify(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_fdl_verify(cfg: RunConfig) -> ScenarioResult:
     """Reconstruction of s^-alpha across the alpha grid, plus the constant pins."""
-    alphas = (0.25, 0.5, 0.75, 1.0)
     svals = np.exp(np.linspace(np.log(0.2), np.log(5.0), 50))
     rows = []
-    max_err = 0.0
-    for alpha in alphas:
+    for alpha in (0.25, 0.5, 0.75, 1.0):
         quad = radial_quadrature(alpha)
         for s in svals:
             got = fdl_reconstruct(float(s), alpha, quad, dim=3)
-            err = abs(got / float(s) ** (-alpha) - 1.0)
-            max_err = max(max_err, err)
-            rows.append(_fmt(alpha, float(s), got, err))
+            rows.append((alpha, float(s), got, abs(got / float(s) ** (-alpha) - 1.0)))
     quad = radial_quadrature(1.0)
-    quad.export_csv(out / "fdl_quadrature.csv")
     parts = split_quadrature(quad, epsilon=0.125, alpha=1.0)
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # split parts cannot bracket on their own
         recombined = sum(
@@ -159,115 +168,85 @@ def scenario_fdl_verify(cfg: RunConfig, out: Path) -> ScenarioResult:
             if key in ("near", "far") and part is not None
         )
     unsplit = fdl_reconstruct(1.0, 1.0, quad, dim=3)
-    const_err = abs(fdl_constant(1.0, 3) - 4.0 / np.pi**2)
-    _write_csv(out / "fdl_reconstruction.csv", "alpha,s,value,rel_err", rows)
-    passed = (
-        max_err < 1e-3
-        and const_err < 1e-12
-        and abs(recombined - unsplit) < 1e-12
-        and abs(parts["cutoff"] - 0.125**0.5) < 1e-12
-    )
     return ScenarioResult(
-        name="fdl-verify",
-        passed=passed,
-        details={
-            "max_rel_err": max_err,
-            "constant_err": const_err,
-            "split_recombine_err": abs(recombined - unsplit),
-        },
-        files=[
-            OutputFile("fdl_reconstruction.csv", "potentials_fdl", "fdl_reconstruct"),
-            OutputFile("fdl_quadrature.csv", "potentials_fdl", "radial_quadrature"),
+        cfg.scenario,
+        checks=[
+            Check("max_rel_err", float(np.max([row[3] for row in rows])), "<", 1e-3),
+            Check("constant_err", abs(fdl_constant(1.0, 3) - 4.0 / np.pi**2), "<", 1e-12),
+            Check("split_recombine_err", abs(recombined - unsplit), "<", 1e-12),
+            Check("split_cutoff_err", abs(parts["cutoff"] - 0.125**0.5), "<", 1e-12),
         ],
+        tables={
+            "fdl_reconstruction.csv": ("alpha,s,value,rel_err", rows),
+            "fdl_quadrature.csv": ("r_node,weight", list(zip(quad.nodes, quad.weights))),
+        },
     )
 
 
-def scenario_fermi_ball_1d(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_fermi_ball_1d(cfg: RunConfig) -> ScenarioResult:
     """Translation-invariant Slater: the mean-field flow must be stationary."""
-    grid = cfg.grid()
     params = cfg.params()
-    potential = power_law_potential(grid, cfg.alpha)
-    initial = fermi_ball(grid, params)
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    snaps, drift = run_hf(initial, potential, cfg.dt, n_steps, cfg.snapshot_stride)
-    dists = [
-        np.sqrt(max(hs_distance_squared(state, initial), 0.0)) / np.sqrt(params.n_particles)
-        for _, state in snaps
-    ]
-    stat = np.max(dists)
-    rows = [_fmt(float(t), float(d)) for (t, _), d in zip(snaps, dists)]
-    _write_csv(out / "fermi_ball_stationarity.csv", "t,hs_over_sqrtN", rows)
-    details = {"max_hs_over_sqrtN": float(stat), "max_gram_drift": float(drift)}
-    files = [OutputFile("fermi_ball_stationarity.csv", "hf_propagator", "hf_step")]
-    passed = stat < 1e-6 and drift < 1e-8
-    if cfg.diagnostics.get("semiclassics", True):
-        config = sc.DiagnosticsConfig(
-            delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
-        )
-        dense_snaps = [(t, density_matrix(s)) for t, s in snaps]
-        series = sc.commutator_density_series(
-            dense_snaps, params.n_particles, params.epsilon, config
-        )
-        spread = float(np.ptp(series["series"]) / np.max(series["series"]))
-        sc.density_series_to_csv(
-            series, series["sup_over_n_eps"], out / "density_budget.csv"
-        )
-        details["budget_relative_spread"] = spread
-        details["sup_over_N_eps"] = series["sup_over_n_eps"]
-        files.append(
-            OutputFile("density_budget.csv", "semiclassics", "commutator_density_series")
-        )
-        passed = passed and spread < 1e-6
-    return ScenarioResult(name="fermi-ball-1d", passed=passed, details=details, files=files)
+    _, _, snaps, drift, dists = _stationary_flow(cfg.grid(), params, cfg, cfg.snapshot_stride)
+    config = sc.DiagnosticsConfig(
+        delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
+    )
+    dense_snaps = [(t, density_matrix(s)) for t, s in snaps]
+    series = sc.commutator_density_series(dense_snaps, params.n_particles, params.epsilon, config)
+    budget, sup = series["series"], series["sup_over_n_eps"]
+    stationarity = [(float(t), float(d)) for (t, _), d in zip(snaps, dists)]
+    budget_rows = [(r.time, r.axis, r.norm_l1, r.norm_lp, r.over_n_eps, sup)
+                   for r in series["rows"]]
+    return ScenarioResult(
+        cfg.scenario,
+        checks=[
+            Check("max_hs_over_sqrtN", float(np.max(dists)), "<", 1e-6),
+            Check("max_gram_drift", drift, "<", 1e-8),
+            Check("budget_relative_spread", float(np.ptp(budget) / np.max(budget)), "<", 1e-6),
+        ],
+        tables={
+            "fermi_ball_stationarity.csv": ("t,hs_over_sqrtN", stationarity),
+            "density_budget.csv": ("t,axis,norm_L1,norm_Lp,over_N_eps,fitted_C", budget_rows),
+        },
+        report={"sup_over_N_eps": sup},
+    )
 
 
-def scenario_fermi_ball_3d(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_fermi_ball_3d(cfg: RunConfig) -> ScenarioResult:
     grid = Grid(3, 8, cfg.length)
     params = ScaledParams(7, cfg.alpha, cfg.epsilon_override)
-    potential = power_law_potential(grid, cfg.alpha)
-    initial = fermi_ball(grid, params)
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    snaps, drift = run_hf(initial, potential, cfg.dt, n_steps, max(1, n_steps // 4))
-    stat = max(
-        np.sqrt(max(hs_distance_squared(s, initial), 0.0)) / np.sqrt(7) for _, s in snaps
-    )
+    stride = max(1, int(round(cfg.t_final / cfg.dt)) // 4)
+    potential, initial, _, drift, dists = _stationary_flow(grid, params, cfg, stride)
     report = energy_mod.energy_report(initial, potential)
-    rows = [energy_mod.report_to_csv_row(report)]
-    _write_csv(out / "fermi_ball_3d_energy.csv", energy_mod.ENERGY_CSV_HEADER, rows)
-    passed = stat < 1e-6 and drift < 1e-8 and not report.violations
     return ScenarioResult(
-        name="fermi-ball-3d",
-        passed=passed,
-        details={"max_hs_over_sqrtN": float(stat), "violations": report.violations},
-        files=[OutputFile("fermi_ball_3d_energy.csv", "energy_audit", "energy_report")],
+        cfg.scenario,
+        checks=[
+            Check("max_hs_over_sqrtN", float(np.max(dists)), "<", 1e-6),
+            Check("max_gram_drift", drift, "<", 1e-8),
+            Check("energy_violations", len(report.violations), "==", 0),
+        ],
+        tables={"fermi_ball_3d_energy.csv": (
+            energy_mod.ENERGY_CSV_HEADER, [energy_mod.report_to_csv_row(report)])},
     )
 
 
-def scenario_gaussian_packets(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_gaussian_packets(cfg: RunConfig) -> ScenarioResult:
     """Semiclassical scaling probe: slope of log tr|[x, omega]| vs log(N eps)."""
     grid = Grid(1, 256, cfg.length)
     rows = []
-    pts = []
     for n in (8, 16, 32, 64):
         params = ScaledParams(n, cfg.alpha)
-        state = packet_slater(grid, params)
-        omega = density_matrix(state)
+        omega = density_matrix(packet_slater(grid, params))
         tr_x = operator_norms(sc.commutator_position(omega, 0, sc.PERIODIC))["trace_norm"]
         tr_p = operator_norms(sc.commutator_momentum(omega, 0, params.epsilon))["trace_norm"]
-        pts.append((n * params.epsilon, tr_x))
-        rows.append(_fmt(n, params.epsilon, n * params.epsilon, tr_x, tr_p))
-    x = np.log([a for a, _ in pts])
-    y = np.log([b for _, b in pts])
+        rows.append((n, params.epsilon, n * params.epsilon, tr_x, tr_p))
+    x = np.log([row[2] for row in rows])
+    y = np.log([row[3] for row in rows])
     slope = float(np.polyfit(x, y, 1)[0])
-    _write_csv(
-        out / "semiclassical_scaling.csv", "N,eps,N_eps,tr_comm_x,tr_comm_p", rows
-    )
-    passed = abs(slope - 1.0) <= 0.15
     return ScenarioResult(
-        name="gaussian-packets",
-        passed=passed,
-        details={"slope": slope},
-        files=[OutputFile("semiclassical_scaling.csv", "semiclassics", "commutator_position")],
+        cfg.scenario,
+        checks=[Check("slope_err", abs(slope - 1.0), "<=", 0.15)],
+        tables={"semiclassical_scaling.csv": ("N,eps,N_eps,tr_comm_x,tr_comm_p", rows)},
+        report={"slope": slope},
     )
 
 
@@ -285,154 +264,121 @@ def _two_packet_slater(grid: Grid, params: ScaledParams) -> "SlaterState":
     return slater_state(grid, loewdin_orthonormalize(grid, np.array(orbs)), params)
 
 
-def _exact_probe(cfg: RunConfig, out: Path, name: str, alphas) -> ScenarioResult:
-    n_particles = cfg.n_particles
+def scenario_hf_vs_exact(cfg: RunConfig) -> ScenarioResult:
+    """Exact few-body flow vs mean field from colliding packets, d = 1."""
     grid = Grid(1, cfg.m, cfg.length)
     n_steps = int(round(cfg.t_final / cfg.dt))
-    stride = max(1, n_steps // 10)
-    all_pass = True
-    details = {}
-    files = []
+    alphas = (0.5, 1.0) if cfg.scenario == "hf-vs-exact-n2" else (0.5,)
+    checks, tables, report = [], {}, {}
     for alpha in alphas:
-        params = ScaledParams(n_particles, alpha, cfg.epsilon_override)
+        params = ScaledParams(cfg.n_particles, alpha, cfg.epsilon_override)
         potential = power_law_potential(grid, alpha)
         initial = _two_packet_slater(grid, params)
-        rows = hf_vs_exact_probe(initial, potential, cfg.dt, n_steps, stride)
-        dominated = all(r.hs**2 <= r.n_fluct + 1e-8 for r in rows)
-        ordered = all(r.trace >= r.hs - 1e-10 for r in rows)
-        start_zero = rows[0].hs < 1e-12 and rows[0].trace < 1e-12
-        all_pass = all_pass and dominated and ordered and start_zero
-        fname = f"{name.replace('-', '_')}_alpha{alpha}.csv"
-        distance_rows_to_csv(rows, out / fname)
-        files.append(OutputFile(fname, "exact_fewbody", "hf_vs_exact_probe"))
-        details[f"max_hs_alpha_{alpha}"] = max(r.hs for r in rows)
-        details[f"dominated_alpha_{alpha}"] = dominated
+        rows = hf_vs_exact_probe(initial, potential, cfg.dt, n_steps, max(1, n_steps // 10))
+        checks += [
+            Check(f"hs_sq_minus_n_fluct_alpha_{alpha}",
+                  float(np.max([r.hs**2 - r.n_fluct for r in rows])), "<=", 1e-8),
+            Check(f"hs_minus_trace_alpha_{alpha}",
+                  float(np.max([r.hs - r.trace for r in rows])), "<=", 1e-10),
+            Check(f"initial_hs_alpha_{alpha}", rows[0].hs, "<", 1e-12),
+            Check(f"initial_trace_alpha_{alpha}", rows[0].trace, "<", 1e-12),
+        ]
+        tables[f"{cfg.scenario.replace('-', '_')}_alpha{alpha}.csv"] = (
+            "t,hs,trace,n_fluct,sqrtN,N", [dataclasses.astuple(r) for r in rows]
+        )
+        report[f"max_hs_alpha_{alpha}"] = max(r.hs for r in rows)
     # free case: mean field is exact, distances stay at zero
-    params = ScaledParams(n_particles, alphas[0], cfg.epsilon_override)
-    zero_pot = power_law_potential(grid, alphas[0])
-    zero_pot = dataclasses.replace(zero_pot, values=np.zeros(grid.shape))
-    initial = _two_packet_slater(grid, params)
-    rows = hf_vs_exact_probe(initial, zero_pot, cfg.dt, n_steps, n_steps)
-    free_max = max(max(r.hs, r.trace, abs(r.n_fluct)) for r in rows)
-    all_pass = all_pass and free_max < 1e-9
-    details["free_case_max_distance"] = free_max
-    return ScenarioResult(name=name, passed=all_pass, details=details, files=files)
+    params = ScaledParams(cfg.n_particles, alphas[0], cfg.epsilon_override)
+    zero = dataclasses.replace(power_law_potential(grid, alphas[0]), values=np.zeros(grid.shape))
+    rows = hf_vs_exact_probe(_two_packet_slater(grid, params), zero, cfg.dt, n_steps, n_steps)
+    free_max = float(np.max([(r.hs, r.trace, abs(r.n_fluct)) for r in rows]))
+    checks.append(Check("free_case_max_distance", free_max, "<", 1e-9))
+    return ScenarioResult(cfg.scenario, checks, tables, report)
 
 
-def scenario_hf_vs_exact_n2(cfg: RunConfig, out: Path) -> ScenarioResult:
-    return _exact_probe(cfg, out, "hf-vs-exact-n2", (0.5, 1.0))
-
-
-def scenario_hf_vs_exact_n3(cfg: RunConfig, out: Path) -> ScenarioResult:
-    return _exact_probe(cfg, out, "hf-vs-exact-n3", (0.5,))
-
-
-def scenario_fock_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_fock_audit(cfg: RunConfig) -> ScenarioResult:
     records = fock_mod.audit_fock_operator_bounds(6, 1000, seed=cfg.seed)
-    audited = [r for r in records if r.bound_id != "pair-creation-hs-printed"]
+    audited = [r.max_slack for r in records if r.bound_id != "pair-creation-hs-printed"]
     pair = fock_mod.audit_window_pair_bound(Grid(1, 8, cfg.length), 3, 100, seed=cfg.seed)
-    rows = [_fmt(r.bound_id, r.trials, r.max_slack) for r in records]
-    rows.append(_fmt("window-pair-norm", pair["trials"], pair["max_slack_norm_vs_trace"]))
-    _write_csv(out / "fock_bound_audit.csv", "bound_id,trials,max_slack", rows)
-    passed = (
-        all(not r.violated for r in audited)
-        and pair["max_slack_norm_vs_trace"] <= 1e-10
-    )
+    rows = [(r.bound_id, r.trials, r.max_slack) for r in records]
+    rows.append(("window-pair-norm", pair["trials"], pair["max_slack_norm_vs_trace"]))
     return ScenarioResult(
-        name="fock-audit",
-        passed=passed,
-        details={
-            "max_slack": max(r.max_slack for r in audited),
-            "pair_bound_slack": pair["max_slack_norm_vs_trace"],
-        },
-        files=[OutputFile("fock_bound_audit.csv", "fock_micro", "audit_fock_operator_bounds")],
+        cfg.scenario,
+        checks=[
+            Check("max_slack", float(np.max(audited)), "<=", 1e-10),
+            Check("pair_bound_slack", pair["max_slack_norm_vs_trace"], "<=", 1e-10),
+        ],
+        tables={"fock_bound_audit.csv": ("bound_id,trials,max_slack", rows)},
+        # the sign of this slack is open, so it is reported without a gate
+        report={"max_slack_trace_vs_commutator": pair["max_slack_trace_vs_commutator"]},
     )
 
 
-def scenario_fluctuation_ring(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_fluctuation_ring(cfg: RunConfig) -> ScenarioResult:
     """Exact Fock evolution vs mean field on a small ring; growth is measured."""
     result = fock_mod.fluctuation_ring_run(
-        m_sites=8,
-        n_particles=2,
-        alpha=cfg.alpha,
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        length=cfg.length,
-        n_snapshots=10,
+        m_sites=8, n_particles=2, alpha=cfg.alpha, dt=cfg.dt, t_final=cfg.t_final,
+        length=cfg.length, n_snapshots=10,
     )
-    rows = [
-        _fmt(t, n, h) for t, n, h in zip(result["times"], result["n_fluct"], result["hs"])
-    ]
-    _write_csv(out / "fluctuation_series.csv", "t,n_fluct,hs_distance", rows)
-    sup_n = float(np.max(result["n_fluct"]))
-    identity_err = float(result["identity_err"])
     free = fock_mod.fluctuation_ring_run(
         m_sites=8, n_particles=2, alpha=cfg.alpha, dt=cfg.dt, t_final=min(cfg.t_final, 0.2),
         length=cfg.length, n_snapshots=4, zero_potential=True,
     )
-    free_max = float(np.max(np.abs(free["n_fluct"])))
-    baseline = BASELINES.get("fluct_ring_sup")
-    bounded = sup_n <= (baseline * 1.5 if baseline else 0.5)
-    passed = identity_err < 1e-10 and free_max < 1e-9 and bounded
+    sup_bound = BASELINES["fluct_ring_sup"] * 1.5
     return ScenarioResult(
-        name="fluctuation-ring",
-        passed=passed,
-        details={
-            "sup_n_fluct": sup_n,
-            "identity_err": identity_err,
-            "free_max": free_max,
+        cfg.scenario,
+        checks=[
+            Check("identity_err", float(result["identity_err"]), "<", 1e-10),
+            Check("free_max", float(np.max(np.abs(free["n_fluct"]))), "<", 1e-9),
+            Check("sup_n_fluct", float(np.max(result["n_fluct"])), "<=", sup_bound),
+        ],
+        tables={"fluctuation_series.csv": (
+            "t,n_fluct,hs_distance", list(zip(result["times"], result["n_fluct"], result["hs"])))},
+        report={
             "reference_scale": result["reference_scale"],
             "measured_constant": result["measured_constant"],
         },
-        files=[OutputFile("fluctuation_series.csv", "fock_micro", "fluctuation_growth_run")],
     )
 
 
-def scenario_window_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_window_audit(cfg: RunConfig) -> ScenarioResult:
     """Window-commutator trace bound: fitted constant and r-exponent (3d)."""
     grid = Grid(3, 8, cfg.length)
     params = ScaledParams(4, cfg.alpha, cfg.epsilon_override)
     state = packet_slater(grid, params, width=cfg.length / 8.0, centered=True)
-    omega = density_matrix(state)
     config = sc.DiagnosticsConfig(delta=cfg.delta, lp_exponent=cfg.lp_exponent)
     radii = np.exp(np.linspace(np.log(grid.h), np.log(grid.length / 2.0), 7))
-    audit = sc.window_commutator_audit(omega, config, radii=radii)
-    sc.window_audit_to_csv(audit, out / "window_commutator.csv")
-    trust = [
-        row.ratio
-        for row in audit.rows
-        if 2.0 * grid.h - 1e-12 <= row.radius <= grid.length / 4.0 + 1e-12
-        and np.isfinite(row.ratio)
-    ]
-    c_trust = float(np.max(trust)) if trust else np.inf
-    exponent_ok = (
-        audit.predicted_exponent is not None
-        and abs(audit.fitted_exponent - audit.predicted_exponent) <= 0.3
+    audit = sc.window_commutator_audit(density_matrix(state), config, radii=radii)
+    lo, hi = 2.0 * grid.h - 1e-12, grid.length / 4.0 + 1e-12
+    trust = [r.ratio for r in audit.rows if lo <= r.radius <= hi and np.isfinite(r.ratio)]
+    # 1d companion: the fitted exponent is reported without a verdict
+    state1 = packet_slater(Grid(1, 256, cfg.length), ScaledParams(8, cfg.alpha))
+    config1 = sc.DiagnosticsConfig(
+        delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
     )
-    passed = np.isfinite(c_trust) and exponent_ok and audit.degenerate_rows == 0
-    details = {
-        "fitted_constant_trust_range": c_trust,
-        "fitted_exponent_3d": audit.fitted_exponent,
-        "predicted_exponent_3d": audit.predicted_exponent,
-    }
-    if cfg.diagnostics.get("companion_1d", True):
-        # 1d companion: the fitted exponent is reported without a verdict
-        grid1 = Grid(1, 256, cfg.length)
-        state1 = packet_slater(grid1, ScaledParams(8, cfg.alpha))
-        config1 = sc.DiagnosticsConfig(
-            delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
-        )
-        audit1 = sc.window_commutator_audit(density_matrix(state1), config1)
-        details["fitted_exponent_1d_report_only"] = audit1.fitted_exponent
+    audit1 = sc.window_commutator_audit(density_matrix(state1), config1)
+    rows = [(r.radius, ";".join(f"{c:.17g}" for c in r.center), r.lhs, r.rhs, r.ratio)
+            for r in audit.rows]
+    exponent_err = abs(audit.fitted_exponent - audit.predicted_exponent)
     return ScenarioResult(
-        name="window-audit",
-        passed=bool(passed),
-        details=details,
-        files=[OutputFile("window_commutator.csv", "semiclassics", "window_commutator_audit")],
+        cfg.scenario,
+        checks=[
+            # finite iff some ratio in the trust range is
+            Check("fitted_constant_trust_range", float(np.max(trust)) if trust else math.inf,
+                  "<", math.inf),
+            Check("exponent_err_3d", exponent_err, "<=", 0.3),
+            Check("degenerate_rows", audit.degenerate_rows, "==", 0),
+        ],
+        tables={"window_commutator.csv": ("r,z,lhs,rhs,ratio", rows)},
+        report={
+            "fitted_exponent_3d": audit.fitted_exponent,
+            "predicted_exponent_3d": audit.predicted_exponent,
+            "fitted_exponent_1d": audit1.fitted_exponent,
+        },
     )
 
 
-def scenario_energy_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
+def scenario_energy_audit(cfg: RunConfig) -> ScenarioResult:
     grid = Grid(3, 8, cfg.length)
     rng = np.random.default_rng(cfg.seed)
     battery = {
@@ -443,87 +389,89 @@ def scenario_energy_audit(cfg: RunConfig, out: Path) -> ScenarioResult:
         "random": random_slater(grid, ScaledParams(5, cfg.alpha), rng),
     }
     potential = power_law_potential(grid, cfg.alpha)
-    rows = []
-    violations = []
-    measured = {}
+    rows, violations, measured = [], 0, {}
     for name, state in battery.items():
         report = energy_mod.energy_report(state, potential)
-        rows.append(f"{name}," + energy_mod.report_to_csv_row(report))
-        violations.extend(f"{name}:{v}" for v in report.violations)
-        measured[name] = {
-            "lt_ratio": report.lieb_thirring_ratio,
-            "hls_ratio": report.hls_ratio,
-        }
-    transfer = {"holds": True}
-    if cfg.diagnostics.get("conservation_transfer", True):
-        # conservation transfer along a short interacting 1d run
-        grid1 = Grid(1, 64, cfg.length)
-        pot1 = power_law_potential(grid1, 0.5)
-        st1 = packet_slater(grid1, ScaledParams(4, 0.5))
-        snaps, _ = run_hf(st1, pot1, cfg.dt, min(200, int(cfg.t_final / cfg.dt)), 50)
-        transfer = energy_mod.conservation_transfer_audit(snaps, pot1)
-    _write_csv(out / "energy_audit.csv", "state," + energy_mod.ENERGY_CSV_HEADER, rows)
-    lt0 = BASELINES["lt_ratio_fermi_ball_3d"]
-    hls0 = BASELINES["hls_ratio_fermi_ball_3d"]
-    stable = (
-        abs(measured["fermi-ball"]["lt_ratio"] / lt0 - 1.0) <= 0.2
-        and abs(measured["fermi-ball"]["hls_ratio"] / hls0 - 1.0) <= 0.2
-    )
-    passed = not violations and transfer["holds"] and stable
+        rows.append([name, *energy_mod.report_to_csv_row(report)])
+        violations += len(report.violations)
+        measured[name] = {"lt_ratio": report.lieb_thirring_ratio, "hls_ratio": report.hls_ratio}
+    # conservation transfer along a short interacting 1d run
+    grid1 = Grid(1, 64, cfg.length)
+    pot1 = power_law_potential(grid1, 0.5)
+    st1 = packet_slater(grid1, ScaledParams(4, 0.5))
+    snaps, _ = run_hf(st1, pot1, cfg.dt, min(200, int(cfg.t_final / cfg.dt)), 50)
+    transfer = energy_mod.conservation_transfer_audit(snaps, pot1)
+    ball = measured["fermi-ball"]
     return ScenarioResult(
-        name="energy-audit",
-        passed=passed,
-        details={
-            "violations": violations,
-            "measured": measured,
-            "conservation_transfer_holds": transfer["holds"],
-        },
-        files=[OutputFile("energy_audit.csv", "energy_audit", "energy_report")],
+        cfg.scenario,
+        checks=[
+            Check("violations", violations, "==", 0),
+            Check("conservation_transfer_excess", transfer["excess"], "<=", 1e-12),
+            Check("lt_ratio_rel_drift",
+                  abs(ball["lt_ratio"] / BASELINES["lt_ratio_fermi_ball_3d"] - 1.0), "<=", 0.2),
+            Check("hls_ratio_rel_drift",
+                  abs(ball["hls_ratio"] / BASELINES["hls_ratio_fermi_ball_3d"] - 1.0), "<=", 0.2),
+        ],
+        tables={"energy_audit.csv": ("state," + energy_mod.ENERGY_CSV_HEADER, rows)},
+        report={"measured": measured},
     )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    run: Callable[[RunConfig], ScenarioResult]
+    description: str
+    defaults: dict = field(default_factory=dict)  # preset values over the RunConfig defaults
 
 
 SCENARIOS = {
-    "fdl-verify": (scenario_fdl_verify, "window-representation identity for the alpha grid"),
-    "fermi-ball-1d": (scenario_fermi_ball_1d, "stationary translation-invariant flow, 1d"),
-    "fermi-ball-3d": (scenario_fermi_ball_3d, "stationary translation-invariant flow, 3d"),
-    "gaussian-packets": (scenario_gaussian_packets, "semiclassical commutator scaling probe"),
-    "hf-vs-exact-n2": (scenario_hf_vs_exact_n2,
-                       "two-body exact vs mean field, d=1, default M=64, alpha 0.5 and 1 fixed"),
-    "hf-vs-exact-n3": (scenario_hf_vs_exact_n3,
-                       "three-body exact vs mean field, d=1, default M=16, alpha 0.5 fixed"),
-    "fock-audit": (scenario_fock_audit, "second-quantization inequality audit"),
-    "fluctuation-ring": (scenario_fluctuation_ring, "fluctuation growth on a small ring"),
-    "window-audit": (scenario_window_audit, "window-commutator trace bound audit"),
-    "energy-audit": (scenario_energy_audit, "kinetic/pair-energy inequality chain"),
+    "fdl-verify": Scenario(
+        scenario_fdl_verify, "window-representation identity for the alpha grid"),
+    "fermi-ball-1d": Scenario(
+        scenario_fermi_ball_1d, "stationary translation-invariant flow, 1d",
+        {"m": 64, "n_particles": 8, "alpha": 1.0}),
+    "fermi-ball-3d": Scenario(
+        scenario_fermi_ball_3d, "stationary translation-invariant flow, 3d", {"t_final": 0.2}),
+    "gaussian-packets": Scenario(
+        scenario_gaussian_packets, "semiclassical commutator scaling probe"),
+    "hf-vs-exact-n2": Scenario(
+        scenario_hf_vs_exact,
+        "two-body exact vs mean field, d=1, default M=64, alpha 0.5 and 1 fixed",
+        {"n_particles": 2, "m": 64}),
+    "hf-vs-exact-n3": Scenario(
+        scenario_hf_vs_exact, "three-body exact vs mean field, d=1, default M=16, alpha 0.5 fixed",
+        {"n_particles": 3, "m": 16, "t_final": 0.5}),
+    "fock-audit": Scenario(scenario_fock_audit, "second-quantization inequality audit"),
+    "fluctuation-ring": Scenario(
+        scenario_fluctuation_ring, "fluctuation growth on a small ring", {"alpha": 0.5}),
+    "window-audit": Scenario(
+        scenario_window_audit, "window-commutator trace bound audit", {"alpha": 0.5}),
+    "energy-audit": Scenario(
+        scenario_energy_audit, "kinetic/pair-energy inequality chain", {"alpha": 1.0}),
 }
 
-SCENARIO_DEFAULTS = {
-    "fermi-ball-1d": {"m": 64, "n_particles": 8, "alpha": 1.0},
-    "fermi-ball-3d": {"t_final": 0.2},
-    "hf-vs-exact-n2": {"n_particles": 2, "m": 64},
-    "hf-vs-exact-n3": {"n_particles": 3, "m": 16, "t_final": 0.5},
-    "fluctuation-ring": {"alpha": 0.5},
-    "window-audit": {"alpha": 0.5},
-    "energy-audit": {"alpha": 1.0},
-}
 
-
-def build_config(scenario: str, seed: int | None = None, overrides: dict | None = None) -> RunConfig:
-    if scenario not in SCENARIOS:
+def build_config(scenario: str, seed: int | None = None,
+                 overrides: dict | None = None) -> RunConfig:
+    """The preset's defaults, then `overrides`, then `seed`; unknown fields are rejected."""
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{scenario}'")
-    data = {"scenario": scenario}
-    data.update(SCENARIO_DEFAULTS.get(scenario, {}))
-    if overrides:
-        data.update(overrides)
+    data = {**SCENARIOS[scenario].defaults, **(overrides or {}), "scenario": scenario}
     if seed is not None:
         data["seed"] = seed
+    unknown = set(data) - {f.name for f in dataclasses.fields(RunConfig)}
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
 
 
 def run_scenario(cfg: RunConfig, out_dir) -> ScenarioResult:
+    """Runs the preset of `cfg` and writes each of its tables into `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fn, _ = SCENARIOS[cfg.scenario]
-    return fn(cfg, out)
+    result = SCENARIOS[cfg.scenario].run(cfg)
+    for name, (header, rows) in result.tables.items():
+        write_table(out / name, header, rows)
+    return result

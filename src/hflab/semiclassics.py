@@ -304,14 +304,6 @@ def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
     )
 
 
-def window_audit_to_csv(audit: WindowCommutatorAudit, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,z,lhs,rhs,ratio\n")
-        for row in audit.rows:
-            z = ";".join(f"{c:.17g}" for c in row.center)
-            fh.write(f"{row.radius:.17g},{z},{row.lhs:.17g},{row.rhs:.17g},{row.ratio:.17g}\n")
-
-
 @dataclass
 class DensityBudgetRow:
     """One time sample of the commutator-density budget, per axis."""
@@ -357,13 +349,3 @@ def commutator_density_series(snapshots, n_particles: int, epsilon: float,
         "sup_over_n_eps": float(np.max(totals)) if totals else np.nan,
         "series": np.asarray(totals),
     }
-
-
-def density_series_to_csv(result: dict, fitted_c: float, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,axis,norm_L1,norm_Lp,over_N_eps,fitted_C\n")
-        for row in result["rows"]:
-            fh.write(
-                f"{row.time:.17g},{row.axis},{row.norm_l1:.17g},"
-                f"{row.norm_lp:.17g},{row.over_n_eps:.17g},{fitted_c:.17g}\n"
-            )

@@ -277,14 +277,15 @@ def test_criterion_10_window_commutator_audit():
 def test_criterion_11_energy_chain(tmp_path):
     cfg = build_config("energy-audit", seed=2024)
     result = run_scenario(cfg, tmp_path)
-    measured = result.details["measured"]
+    measured = result.report["measured"]
     lt = measured["fermi-ball"]["lt_ratio"] / BASELINES["lt_ratio_fermi_ball_3d"]
     hls = measured["fermi-ball"]["hls_ratio"] / BASELINES["hls_ratio_fermi_ball_3d"]
     stable = abs(lt - 1.0) <= 0.2 and abs(hls - 1.0) <= 0.2
+    violations = next(c.value for c in result.checks if c.name == "violations")
     report(
         11,
-        result.passed and not result.details["violations"] and stable,
-        f"violations {result.details['violations']}, lt x{lt:.3f}, hls x{hls:.3f}",
+        result.passed and violations == 0 and stable,
+        f"violations {violations}, lt x{lt:.3f}, hls x{hls:.3f}",
     )
 
 

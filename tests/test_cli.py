@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
+from hflab import scenarios
 from hflab.cli import _load_config, main
-from hflab.scenarios import SCENARIOS, RunConfig, build_config, run_scenario
+from hflab.scenarios import SCENARIOS, Check, RunConfig, Scenario, build_config, run_scenario
 
 
 def test_config_round_trip_bit_exact():
@@ -31,8 +33,9 @@ def test_config_rejects_bad_grid():
 
 def test_preset_table():
     assert len(SCENARIOS) >= 8
-    for name, (fn, desc) in SCENARIOS.items():
-        assert callable(fn) and desc
+    for name, preset in SCENARIOS.items():
+        assert callable(preset.run) and preset.description
+        assert build_config(name) == build_config(name, overrides=preset.defaults)
     # documented defaults of the two-body probe
     cfg = build_config("hf-vs-exact-n2")
     assert cfg.n_particles == 2 and cfg.m == 64 and cfg.dim == 1
@@ -66,10 +69,14 @@ def test_cli_run_writes_manifest(tmp_path, capsys):
     code = main(["run", "--scenario", "fdl-verify", "--out", str(tmp_path)])
     assert code == 0
     manifest = json.loads((tmp_path / "fdl-verify" / "manifest.json").read_text())
-    assert manifest["runs"][0]["passed"] is True
-    files = {f["name"]: f for f in manifest["runs"][0]["files"]}
-    assert files["fdl_reconstruction.csv"]["module"] == "potentials_fdl"
-    assert (tmp_path / "fdl-verify" / "fdl_reconstruction.csv").exists()
+    run = manifest["runs"][0]
+    assert run["passed"] is True
+    assert run["files"] == ["fdl_quadrature.csv", "fdl_reconstruction.csv"]
+    for name in run["files"]:
+        assert (tmp_path / "fdl-verify" / name).exists()
+    check = next(c for c in run["checks"] if c["name"] == "max_rel_err")
+    assert (check["relation"], check["bound"], check["passed"]) == ("<", 1e-3, True)
+    assert check["value"] < check["bound"]
 
 
 def test_run_determinism_same_seed(tmp_path):
@@ -125,10 +132,10 @@ def test_verify_rejects_unknown_name_before_running(tmp_path, capsys):
 
 
 def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
-    def crash(cfg, out):
+    def crash(cfg):
         raise RuntimeError("Chebyshev propagator needs degree 60")
 
-    monkeypatch.setitem(SCENARIOS, "fermi-ball-1d", (crash, "crashes"))
+    monkeypatch.setitem(SCENARIOS, "fermi-ball-1d", Scenario(crash, "crashes"))
     code = main(
         ["verify", "--scenarios", "fermi-ball-1d,fdl-verify", "--seed", "5",
          "--out", str(tmp_path)]
@@ -143,14 +150,48 @@ def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     assert runs[1]["passed"] is True
 
 
-def test_diagnostics_toggle_disables_companion(tmp_path):
-    cfg = build_config(
-        "fermi-ball-1d", seed=3, overrides={"diagnostics": {"semiclassics": False}}
-    )
-    result = run_scenario(cfg, tmp_path)
-    assert result.passed
-    assert "sup_over_N_eps" not in result.details
-    assert not (tmp_path / "density_budget.csv").exists()
+@pytest.mark.parametrize("relation", ["<", "<=", "=="])
+def test_check_nan_fails_every_relation(relation):
+    assert not Check("x", math.nan, relation, 1.0).passed
+    assert not Check("x", 1.0, relation, math.nan).passed
+    assert Check("x", 1.0, relation, 1.0).passed == (relation != "<")
+    assert Check("x", 0.5, relation, 1.0).passed == (relation != "==")
+
+
+def test_verify_manifest_records_every_check(tmp_path, capsys):
+    assert main(["verify", "--seed", "5", "--out", str(tmp_path)]) == 0
+    runs = json.loads((tmp_path / "manifest.json").read_text())["runs"]
+    assert [r["scenario"] for r in runs] == list(SCENARIOS)
+    for run in runs:
+        assert run["checks"], run["scenario"]
+        assert run["passed"] == all(c["passed"] for c in run["checks"])
+        for c in run["checks"]:
+            assert set(c) == {"name", "value", "relation", "bound", "passed"}
+        assert run["files"] == sorted(p.name for p in (tmp_path / run["scenario"]).iterdir())
+    fock = next(r for r in runs if r["scenario"] == "fock-audit")
+    assert "max_slack_trace_vs_commutator" in fock["report"]
+
+
+def test_fluctuation_ring_fails_on_tightened_baseline(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(scenarios.BASELINES, "fluct_ring_sup", 1e-6)
+    assert main(["run", "--scenario", "fluctuation-ring", "--out", str(tmp_path)]) == 1
+    assert "fluctuation-ring: FAIL" in capsys.readouterr().out
+    run = json.loads((tmp_path / "fluctuation-ring" / "manifest.json").read_text())["runs"][0]
+    checks = {c["name"]: c for c in run["checks"]}
+    assert checks["sup_n_fluct"]["passed"] is False
+    assert checks["sup_n_fluct"]["bound"] == pytest.approx(1.5e-6)
+    assert run["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "field, value", [("m", "64"), ("m", 64.0), ("alpha", None), ("dim", True)]
+)
+def test_cli_config_wrong_type_exit_code(tmp_path, capsys, field, value):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"scenario": "fdl-verify", field: value}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"config field {field}" in capsys.readouterr().err
+    assert not (tmp_path / "fdl-verify").exists()
 
 
 def test_fluctuation_ring_honours_alpha(tmp_path):

@@ -207,4 +207,5 @@ def test_csv_row_shape():
     st = fermi_ball(g, ScaledParams(7, 1.0))
     report = energy_report(st, power_law_potential(g, 1.0))
     row = report_to_csv_row(report)
-    assert len(row.split(",")) == len(ENERGY_CSV_HEADER.split(","))
+    assert len(row) == len(ENERGY_CSV_HEADER.split(","))
+    assert all(isinstance(cell, float) for cell in row)

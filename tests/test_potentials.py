@@ -13,6 +13,7 @@ from hflab.potentials import (
     split_quadrature,
     z_integral,
 )
+from hflab.scenarios import write_table
 
 
 def radial_oracle_constant(alpha, dim):
@@ -158,13 +159,13 @@ def test_split_quadrature_partition():
 def test_quadrature_csv_export(tmp_path):
     quad_a = radial_quadrature(0.5, n_nodes=10)
     path = tmp_path / "quad.csv"
-    quad_a.export_csv(path)
+    write_table(path, "r_node,weight", zip(quad_a.nodes, quad_a.weights))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r_node,weight"
     assert len(lines) == 11
-    r0, w0 = map(float, lines[1].split(","))
-    assert r0 == pytest.approx(quad_a.nodes[0])
-    assert w0 == pytest.approx(quad_a.weights[0])
+    back = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back[:, 0], quad_a.nodes)
+    assert np.array_equal(back[:, 1], quad_a.weights)
 
 
 def test_potential_regularization():
