@@ -5,9 +5,10 @@ Verbs:
     list-scenarios  static preset table
     verify          every preset with derived seeds; exit 0 iff all audits pass
 
-Exit codes: 0 pass, 1 audit failure, 2 usage or configuration error.  CSV
-bodies are deterministic given (config, seed) and the BLAS thread count; the
-manifest records the thread variables, and timestamps appear only there.
+Exit codes: 0 pass, 1 audit failure or a preset that raised, 2 usage or
+configuration error.  CSV bodies are deterministic given (config, seed) and
+the BLAS thread count; the manifest records the thread variables, and
+timestamps appear only there.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ def _result_entry(cfg: RunConfig, result) -> dict:
     }
 
 
+def _error_entry(cfg: RunConfig, exc: Exception) -> dict:
+    """The manifest entry of a preset that raised instead of returning a result."""
+    return {"scenario": cfg.scenario, "config": dataclasses.asdict(cfg), "passed": False,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -96,9 +103,13 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_scenario(cfg, out)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:  # a config the preset cannot honour
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # the run itself failed, as verify records it
+        print(f"{cfg.scenario}: ERROR ({exc})")
+        _write_manifest(out, [_error_entry(cfg, exc)])
+        return 1
     _write_manifest(out, [_result_entry(cfg, result)])
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.name}: {status}")
@@ -138,12 +149,7 @@ def cmd_verify(args) -> int:
             result = run_scenario(cfg, sub)
         except (ValueError, RuntimeError) as exc:
             print(f"{name}: ERROR ({exc})")
-            entries.append({
-                "scenario": name,
-                "config": dataclasses.asdict(cfg),
-                "passed": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+            entries.append(_error_entry(cfg, exc))
             all_pass = False
             continue
         entries.append(_result_entry(cfg, result))

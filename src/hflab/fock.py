@@ -316,8 +316,8 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         # direct expectation through the transported particle-hole unitary
         w_t = _extend_unitary(np.sqrt(grid.cell_volume) * hf_t.orbitals.reshape(n_particles, -1).T)
         lift = lift_unitary(space, w_t)
-        r_t = lift @ ref.toarray() @ lift.conj().T
-        chi = r_t.conj().T @ psi_t
+        # chi = r_t^* psi_t for r_t = lift ref lift^*, with ref a real signed permutation
+        chi = lift @ (ref.T @ (lift.conj().T @ psi_t))
         direct = float(np.real(np.vdot(chi, nop @ chi)))
         identity_err = max(identity_err, abs(direct - n_val))
         diff = gamma - omega

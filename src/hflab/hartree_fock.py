@@ -85,12 +85,9 @@ class SlaterState:
     def orbital(self, j: int) -> Field:
         return Field(self.grid, self.orbitals[j].copy())
 
-    def gram(self) -> np.ndarray:
-        flat = self.orbitals.reshape(self.n_orbitals, -1)
-        return self.grid.cell_volume * (flat.conj() @ flat.T)
-
     def gram_defect(self) -> float:
-        return _gram_defect(self.gram())
+        flat = self.orbitals.reshape(self.n_orbitals, -1)
+        return _gram_defect(self.grid.cell_volume * (flat.conj() @ flat.T))
 
     def copy(self) -> "SlaterState":
         return SlaterState(self.grid, self.orbitals.copy(), self.params, self.time)
@@ -106,7 +103,9 @@ def slater_state(grid, orbitals, params, time=0.0, tol=1e-8) -> SlaterState:
 
 
 def _gram_defect(gram: np.ndarray) -> float:
-    return float(np.max(np.abs(gram - np.eye(len(gram)))))
+    residual = gram.copy()
+    residual.reshape(-1)[:: len(gram) + 1] -= 1.0
+    return float(np.abs(residual).max())
 
 
 def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
@@ -115,22 +114,17 @@ def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
     `gram` is the Gram matrix h^d conj(flat) flat^T of the rows.
     """
     vals, vecs = np.linalg.eigh(gram)
-    if np.min(vals) <= 1e-14:
+    if vals[0] <= 1e-14:  # eigh sorts the eigenvalues ascending
         raise ValueError("orbital family is numerically rank deficient")
     inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
     # rows transform with the transpose: Gram maps as conj(B) G B^T
     return inv_sqrt.T
 
 
-def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray,
-                           gram: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric (minimal-change) orthonormalization of an orbital block.
-
-    A caller that already holds the block's Gram matrix passes it as `gram`.
-    """
+def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
+    """Symmetric (minimal-change) orthonormalization of an orbital block."""
     flat = np.asarray(orbitals, dtype=complex).reshape(len(orbitals), -1)
-    if gram is None:
-        gram = grid.cell_volume * (flat.conj() @ flat.T)
+    gram = grid.cell_volume * (flat.conj() @ flat.T)
     return (_loewdin_transform(gram) @ flat).reshape(np.asarray(orbitals).shape)
 
 
@@ -190,39 +184,6 @@ def _apply_mean_field(block, frozen, u_vals, potential, n_particles):
     return u_vals * block - _exchange(block, frozen, potential, n_particles)
 
 
-def _compressed_exchange(frozen, image, cell_volume):
-    """X~ = P X + X P - P X P on (k, M) row blocks, and a bound on ||X~||, given image = X frozen.
-
-    P is the h^d-orthogonal projection onto span(frozen) and X the exchange
-    frozen there, so X~ equals X on that span; off it X~ drops (1 - P) X (1 - P).
-    With Loewdin rows q = S frozen (so X q = S image), the Hermitian core
-    K_ij = <q_i, X q_j> and z = X q - K q / 2 it is X~ = sum_i |q_i><z_i| + |z_i><q_i|,
-    Hermitian whatever the rounding in K, and it inverts no core matrix.  One
-    application is four thin (k, M) x (M, N) products; it transforms no pair
-    density.  The rows q are orthonormal, so ||X~|| <= 2 ||z||, read off the
-    N x N Gram matrix of z.
-    """
-    s = _loewdin_transform(cell_volume * (frozen.conj() @ frozen.T))
-    q = s @ frozen
-    z = s @ image
-    core = cell_volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
-    z -= 0.5 * (core.T @ q)
-    # kept conjugated, so the coefficients <q_i, b> are block @ q.T
-    np.conjugate(q, out=q)
-    np.conjugate(z, out=z)
-    bound = 2.0 * np.sqrt(max(np.linalg.eigvalsh(cell_volume * (z @ z.conj().T))[-1], 0.0))
-
-    def apply(block):
-        on_q = cell_volume * (block @ q.T)
-        on_z = cell_volume * (block @ z.T)
-        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i, conjugated back at the end
-        out = on_z.conj() @ q
-        out += on_q.conj() @ z
-        return np.conjugate(out, out=out)
-
-    return apply, bound
-
-
 def _kinetic_multiply(block, multiplier):
     """ifft(multiplier * fft(f)) for each row of `block`."""
     axes = tuple(range(1, block.ndim))
@@ -271,27 +232,50 @@ def _chebyshev_coefficients(z):
     By Jacobi-Anger c_0 = J_0(z) and c_k = 2 (-1j)^k J_k(z).  Since |T_k| <= 1
     there, degree d errs by at most 2 sum_{k>d} |J_k(z)|; d is the smallest
     degree that keeps this below CHEBYSHEV_TOL, and above CHEBYSHEV_MAX_DEGREE
-    it raises.  Past the table |J_k(z)| <= (z/2)^k / k!, a geometric series.
+    it raises.  Past a table of J_k, |J_k(z)| <= (z/2)^k / k!, a geometric
+    series.  The table ends at the first order n where that bound on the rest
+    is below the rounding of CHEBYSHEV_TOL, a few orders past the degree, so
+    a longer table picks the same degree.  Where that order passes the cap,
+    a table of cap + 2 orders decides and a longer one names the degree.
     """
+    z = float(z)
     cap = CHEBYSHEV_MAX_DEGREE
-    # the long table only serves the error message
-    for n in (cap + 2, 2**16):
-        bessel = scipy.special.jv(np.arange(n), z)
-        with np.errstate(divide="ignore", over="ignore"):
-            first = np.exp(n * np.log(z / 2) - scipy.special.gammaln(n + 1))
-        beyond = first / (1 - z / (2 * (n + 1))) if z < 2 * (n + 1) else np.inf
-        # tails[d] bounds 2 sum_{k>d} |J_k(z)|
-        tails = 2 * (np.append(np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + beyond)
-        fits = np.flatnonzero(tails <= CHEBYSHEV_TOL)
-        if fits.size:
+    n, term = 1, z / 2  # term = (z/2)^n / n!
+    while n <= cap + 1:
+        ratio = z / (2 * (n + 1))
+        if ratio < 1 and 2 * term <= 2**-52 * CHEBYSHEV_TOL * (1 - ratio):
             break
-    if not fits.size or fits[0] > cap:
-        needed = f"degree {fits[0]}" if fits.size else f"a degree above {n - 1}"
-        raise RuntimeError(
-            f"Chebyshev propagator needs {needed} for tau * r = {z:.3e}, above the cap "
-            f"{cap}: the truncation residual bound at the cap is {tails[cap]:.3e}"
-        )
-    coeffs = 2 * (-1j) ** np.arange(fits[0] + 1) * bessel[: fits[0] + 1]
+        n += 1
+        term *= z / (2 * n)
+    if n <= cap + 1:
+        rest = term / (1 - ratio)  # bounds sum_{k>=n} |J_k(z)|
+        bessel = scipy.special.jv(np.arange(n), z)
+        # tail = sum_{d<k<n} |J_k(z)|, summed from the far end like the long table
+        tail, degree = 0.0, n - 1
+        for value in bessel[:0:-1].tolist():
+            tail += abs(value)
+            if 2 * (tail + rest) > CHEBYSHEV_TOL:
+                break
+            degree -= 1
+    else:
+        for n in (cap + 2, 2**16):
+            bessel = scipy.special.jv(np.arange(n), z)
+            with np.errstate(divide="ignore", over="ignore"):
+                first = np.exp(n * np.log(z / 2) - scipy.special.gammaln(n + 1))
+            beyond = first / (1 - z / (2 * (n + 1))) if z < 2 * (n + 1) else np.inf
+            # tails[d] bounds 2 sum_{k>d} |J_k(z)|
+            tails = 2 * (np.append(np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + beyond)
+            fits = np.flatnonzero(tails <= CHEBYSHEV_TOL)
+            if fits.size:
+                break
+        if not fits.size or fits[0] > cap:
+            needed = f"degree {fits[0]}" if fits.size else f"a degree above {n - 1}"
+            raise RuntimeError(
+                f"Chebyshev propagator needs {needed} for tau * r = {z:.3e}, above the cap "
+                f"{cap}: the truncation residual bound at the cap is {tails[cap]:.3e}"
+            )
+        degree = fits[0]
+    coeffs = 2 * (-1j) ** np.arange(degree + 1) * bessel[: degree + 1]
     coeffs[0] /= 2
     return coeffs
 
@@ -324,96 +308,101 @@ def _chebyshev_expm(apply, block, tau, interval):
     return out
 
 
-def _fft_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
-    """Kinetic half-step, self field and mean-field factory applied by FFT, on (k, M) blocks.
-
-    Both mean-field forms start from one pair-symmetric self-exchange X F of
-    the orbitals F (N(N+1)/2 pair transforms once the pairs need more than one
-    chunk).  The self field H(F) F uses it as is.  The mean field frozen at F
-    is U - X~, with X~ the exchange compressed onto span(F): exact there, and
-    applied with thin products and no FFT.  Its spectrum lies in
-    [min u - b, max u + b], with b the bound on ||X~||.
-    """
-    g = state.grid
-    p = state.params
-    kin_phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
-
-    def on_grid(block):
-        return block.reshape((len(block),) + g.shape)
-
-    def half_kinetic(block):
-        return _kinetic_multiply(on_grid(block), kin_phase).reshape(len(block), -1)
-
-    def self_terms(frozen):
-        rows = on_grid(frozen)
-        u_vals = _direct_potential(rows, potential, p.n_particles).reshape(-1)
-        return u_vals, _exchange(rows, rows, potential, p.n_particles).reshape(len(frozen), -1)
-
-    def self_field(frozen):
-        u_vals, image = self_terms(frozen)
-        return np.subtract(u_vals * frozen, image, out=image)
-
-    def mean_field(frozen):
-        u_vals, image = self_terms(frozen)
-        exchange, bound = _compressed_exchange(frozen, image, g.cell_volume)
-
-        def apply(block):
-            out = exchange(block)
-            return np.subtract(u_vals * block, out, out=out)
-
-        return apply, (np.min(u_vals) - bound, np.max(u_vals) + bound)
-
-    return half_kinetic, self_field, mean_field
-
-
 @functools.lru_cache(maxsize=16)
-def _dense_half_kinetic(grid: Grid, phase_time: float) -> np.ndarray:
-    """exp(-1j phase_time k^2) as a matrix acting on orbital rows (block @ matrix)."""
-    phase = np.exp(-1j * phase_time * grid.momentum_squared())
-    out = spectral_multiplier_operator(grid, phase).matrix.T.copy()
+def _half_kinetic(grid: Grid, phase_time: float, dense: bool) -> np.ndarray:
+    """exp(-1j phase_time k^2), the kinetic half-step, read-only: the multiplier the
+    FFT path applies, or the dense path's matrix acting on rows (block @ matrix)."""
+    out = np.exp(-1j * phase_time * grid.momentum_squared())
+    if dense:
+        out = spectral_multiplier_operator(grid, out).matrix.T.copy()
     out.flags.writeable = False
     return out
 
 
-def _dense_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
-    """Kinetic half-step, self field and mean-field factory as dense M x M matrices.
+# Step operators on (k, M) row blocks, by FFT and as dense M x M matrices: self_field(F) is
+# H(F) F, and frozen_field(F) the mean field frozen at F with an interval holding its spectrum.
 
-    The mean field frozen at F is diag(u) - (h^d/N) V o (F^* F) acting on rows,
-    with u = (h^d/N) rho V and rho = sum_j |f_j|^2; one matmul applies it, and
-    its Gershgorin discs bound its spectrum.
+def _fft_kinetic(block, grid, phase_time):
+    rows = block.reshape((len(block),) + grid.shape)
+    return _kinetic_multiply(rows, _half_kinetic(grid, phase_time, False)).reshape(len(block), -1)
+
+
+def _fft_self_terms(frozen, potential, grid, n_particles):
+    """u and the pair-symmetric self-exchange X F (N(N+1)/2 pair transforms past one chunk)."""
+    rows = frozen.reshape((len(frozen),) + grid.shape)
+    u_vals = _direct_potential(rows, potential, n_particles).reshape(-1)
+    return u_vals, _exchange(rows, rows, potential, n_particles).reshape(len(frozen), -1)
+
+
+def _fft_self_field(frozen, potential, grid, n_particles):
+    u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
+    return np.subtract(u_vals * frozen, image, out=image)
+
+
+def _fft_frozen_field(frozen, potential, grid, n_particles):
+    """U - X~ with X~ = P X + X P - P X P, given the rows F, and an interval holding its spectrum.
+
+    P is the h^d-orthogonal projection onto span(F) and X the exchange frozen
+    there, so X~ equals X on that span; off it X~ drops (1 - P) X (1 - P).
+    With Loewdin rows q = S F (so X q = S X F), the Hermitian core
+    K_ij = <q_i, X q_j> and z = X q - K q / 2 it is X~ = sum_i |q_i><z_i| + |z_i><q_i|,
+    Hermitian whatever the rounding in K, and it inverts no core matrix.  One
+    application is four thin (k, M) x (M, N) products; it transforms no pair
+    density.  The rows q are orthonormal, so ||X~|| <= 2 ||z|| = b, read off
+    the N x N Gram matrix of z, and the spectrum lies in [min u - b, max u + b].
     """
-    g = state.grid
-    p = state.params
-    kinetic = _dense_half_kinetic(g, (dt / 2.0) * p.epsilon)
+    u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
+    cell_volume = grid.cell_volume
+    s = _loewdin_transform(cell_volume * (frozen.conj() @ frozen.T))
+    q = s @ frozen
+    z = s @ image
+    core = cell_volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
+    z -= 0.5 * (core.T @ q)
+    # kept conjugated, so the coefficients <q_i, b> are block @ q.T
+    np.conjugate(q, out=q)
+    np.conjugate(z, out=z)
+    bound = 2.0 * np.sqrt(max(np.linalg.eigvalsh(cell_volume * (z @ z.conj().T))[-1], 0.0))
+
+    def apply(block):
+        on_q = cell_volume * (block @ q.T)
+        on_z = cell_volume * (block @ z.T)
+        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i, conjugated back
+        out = on_z.conj() @ q
+        out += on_q.conj() @ z
+        out = np.conjugate(out, out=out)
+        return np.subtract(u_vals * block, out, out=out)
+
+    return apply, (u_vals.min() - bound, u_vals.max() + bound)
+
+
+def _dense_kinetic(block, grid, phase_time):
+    return block @ _half_kinetic(grid, phase_time, True)
+
+
+def _dense_field(frozen, potential, grid, n_particles):
+    """diag(u) - (h^d/N) V o (F^* F) on rows; u = (h^d/N) rho V, rho = sum_j |f_j|^2."""
     pair = potential.pair_matrix
-    scale = g.cell_volume / p.n_particles
-
-    def frozen_matrix(frozen):
-        matrix = pair * (frozen.conj().T @ frozen)
-        matrix *= -scale
-        matrix.flat[:: g.site_count + 1] += scale * (np.sum(np.abs(frozen) ** 2, axis=0) @ pair)
-        return matrix
-
-    def mean_field(frozen):
-        matrix = frozen_matrix(frozen)
-        # Gershgorin: each eigenvalue is within a row's off-diagonal sum of its diagonal
-        centres = matrix.diagonal().real
-        radii = np.sum(np.abs(matrix), axis=1) - np.abs(centres)
-        return (lambda block: block @ matrix), (np.min(centres - radii), np.max(centres + radii))
-
-    return lambda block: block @ kinetic, lambda frozen: frozen @ frozen_matrix(frozen), mean_field
+    scale = grid.cell_volume / n_particles
+    matrix = frozen.conj().T @ frozen
+    np.multiply(matrix, pair, out=matrix)
+    matrix *= -scale
+    rho = np.abs(frozen)
+    rho *= rho
+    matrix.reshape(-1)[:: len(matrix) + 1] += scale * (rho.sum(axis=0) @ pair)
+    return matrix
 
 
-def _step_operators(state: SlaterState, potential: PowerLawPotential, dt: float):
-    """(half_kinetic, self_field, mean_field) of one step, on (k, M) blocks.
+def _dense_self_field(frozen, potential, grid, n_particles):
+    return frozen @ _dense_field(frozen, potential, grid, n_particles)
 
-    self_field(F) is H(F) F, and mean_field(F) gives the operator frozen at F
-    with an interval (lo, hi) that holds its spectrum.  Small grids apply them
-    as dense matrices, larger ones by FFT.
-    """
-    if state.grid.site_count <= DENSE_STEP_SITES:
-        return _dense_operators(state, potential, dt)
-    return _fft_operators(state, potential, dt)
+
+def _dense_frozen_field(frozen, potential, grid, n_particles):
+    """The field frozen at F, applied as block @ matrix; Gershgorin discs bound its spectrum."""
+    matrix = _dense_field(frozen, potential, grid, n_particles)
+    centres = matrix.diagonal().real
+    radii = np.abs(matrix).sum(axis=1)
+    radii -= np.abs(centres)
+    return matrix.__rmatmul__, ((centres - radii).min(), (centres + radii).max())
 
 
 def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> SlaterState:
@@ -425,35 +414,39 @@ def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> Slat
 def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: float):
     """hf_step plus the Gram defect measured before re-orthonormalization.
 
-    The dense and the FFT operators of _step_operators run this one step body.
+    Grids of at most DENSE_STEP_SITES sites apply the operators as dense
+    matrices, larger ones by FFT; both run this one step body.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
     p = state.params
-    half_kinetic, self_field, mean_field = _step_operators(state, potential, dt)
+    if g.site_count <= DENSE_STEP_SITES:
+        kinetic, self_field, frozen_field = _dense_kinetic, _dense_self_field, _dense_frozen_field
+    else:
+        kinetic, self_field, frozen_field = _fft_kinetic, _fft_self_field, _fft_frozen_field
+    phase_time = (dt / 2.0) * p.epsilon
 
-    f1 = half_kinetic(state.orbitals.reshape(state.n_orbitals, -1))
+    f1 = kinetic(state.orbitals.reshape(state.n_orbitals, -1), g, phase_time)
 
     # predictor: first-order half-step of the mean-field flow fixes the midpoint
-    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * self_field(f1)
-    midpoint_field, interval = mean_field(f_mid)
+    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * self_field(f1, potential, g, p.n_particles)
+    midpoint_field, interval = frozen_field(f_mid, potential, g, p.n_particles)
     del f_mid  # the frozen operator holds no reference; freed, it lowers the propagator peak
 
     f2 = _chebyshev_expm(midpoint_field, f1, dt / p.epsilon, interval)
 
-    f3 = half_kinetic(f2)
+    f3 = kinetic(f2, g, phase_time)
 
-    out = SlaterState(g, f3.reshape(state.orbitals.shape), p, state.time + dt)
-    gram = out.gram()  # one Gram matrix serves the drift check and the Loewdin transform
+    gram = g.cell_volume * (f3.conj() @ f3.T)  # serves the drift check and the Loewdin transform
     defect = _gram_defect(gram)
     if defect > GRAM_ABORT:
         raise RuntimeError(
             f"orthonormality drift {defect:.3e} exceeds {GRAM_ABORT:.0e} at "
-            f"t={out.time:.6f}; aborting run"
+            f"t={state.time + dt:.6f}; aborting run"
         )
-    out.orbitals = loewdin_orthonormalize(g, out.orbitals, gram)
-    return out, defect
+    orbitals = (_loewdin_transform(gram) @ f3).reshape(state.orbitals.shape)
+    return SlaterState(g, orbitals, p, state.time + dt), defect
 
 
 def kinetic_phase_per_step(state: SlaterState, dt: float) -> float:

@@ -150,6 +150,23 @@ def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     assert runs[1]["passed"] is True
 
 
+def test_run_records_crashed_scenario(tmp_path, monkeypatch, capsys):
+    # a preset that raises RuntimeError failed its run (exit 1), which is not a
+    # configuration error (exit 2); run writes the manifest entry verify writes
+    def crash(cfg):
+        raise RuntimeError("Chebyshev propagator needs degree 60")
+
+    monkeypatch.setitem(SCENARIOS, "fdl-verify", Scenario(crash, "crashes"))
+    code = main(["run", "--scenario", "fdl-verify", "--seed", "5", "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "fdl-verify: ERROR (Chebyshev propagator needs degree 60)" in capsys.readouterr().out
+    runs = json.loads((tmp_path / "run" / "fdl-verify" / "manifest.json").read_text())["runs"]
+    assert runs[0]["passed"] is False
+    assert runs[0]["error"] == "RuntimeError: Chebyshev propagator needs degree 60"
+    main(["verify", "--scenarios", "fdl-verify", "--seed", "5", "--out", str(tmp_path / "verify")])
+    assert runs == json.loads((tmp_path / "verify" / "manifest.json").read_text())["runs"]
+
+
 @pytest.mark.parametrize("relation", ["<", "<=", "=="])
 def test_check_nan_fails_every_relation(relation):
     assert not Check("x", math.nan, relation, 1.0).passed

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.special
 from scipy.linalg import expm
 
 from hflab import hartree_fock as hf
+from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
     SlaterState,
     apply_exchange,
@@ -314,6 +316,50 @@ def test_step_rejects_bad_dt():
         hf_step(st, power_law_potential(g, 0.5), -0.1)
 
 
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_step_keeps_its_checks(monkeypatch, sites):
+    # the dt check, the Gram drift abort and the Loewdin rank check, on both paths
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
+    g = Grid(1, 64)
+    p = ScaledParams(2, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = packet_slater(g, p)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            hf_step(st, pot, dt)
+    monkeypatch.setattr(hf, "GRAM_ABORT", 0.0)
+    with pytest.raises(RuntimeError, match="orthonormality drift"):
+        hf_step(st, pot, 1e-3)
+    monkeypatch.setattr(hf, "GRAM_ABORT", np.inf)
+    twins = SlaterState(g, np.repeat(st.orbitals[:1], 2, axis=0), p)
+    with pytest.raises(ValueError, match="rank deficient"):
+        hf_step(twins, pot, 1e-3)
+
+
+def test_every_step_enters_through_the_module_binding(monkeypatch):
+    # timers and tracers wrap hartree_fock.hf_step_with_drift, so each step of
+    # run_hf, of an hf_step loop and of the few-body probe must call it there
+    calls = []
+    original = hf.hf_step_with_drift
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hf, "hf_step_with_drift", spy)
+    g = Grid(1, 16)
+    p = ScaledParams(2, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = packet_slater(g, p)
+    run_hf(st, pot, 1e-3, 7, 3)
+    assert len(calls) == 7
+    for _ in range(5):
+        st = hf_step(st, pot, 1e-3)
+    assert len(calls) == 12
+    hf_vs_exact_probe(st, pot, 1e-3, 9, 4)
+    assert calls == [1e-3] * 21
+
+
 def test_chunked_exchange_matches_dense_kernel(monkeypatch):
     # one frozen orbital per chunk against the dense (1/N) V(x-y) omega(x;y) kernel
     monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", 1)
@@ -396,22 +442,68 @@ def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
     assert hf_energy(st, pot) == pytest.approx(expected, rel=1e-12)
 
 
-def midpoint_operator(monkeypatch, sites, make_potential=power_law_potential):
-    # the frozen mean field of a 1d m64 N4 packet state on the path DENSE_STEP_SITES selects
-    monkeypatch.setattr(hf, "DENSE_STEP_SITES", sites)
+def midpoint_operator(sites, make_potential=power_law_potential):
+    # the mean field frozen at a 1d m64 N4 packet state, on the path that
+    # DENSE_STEP_SITES = sites would select
     g = Grid(1, 64)
     p = ScaledParams(4, 0.5)
-    st = packet_slater(g, p)
-    f = st.orbitals.reshape(p.n_particles, -1)
-    _, _, mean_field = hf._step_operators(st, make_potential(g, 0.5), 1e-3)
-    apply, interval = mean_field(f)
+    f = packet_slater(g, p).orbitals.reshape(p.n_particles, -1)
+    frozen_field = hf._dense_frozen_field if g.site_count <= sites else hf._fft_frozen_field
+    apply, interval = frozen_field(f, make_potential(g, 0.5), g, p.n_particles)
     return p, f, apply, interval, apply(np.eye(g.site_count, dtype=complex))
 
 
+def reference_chebyshev_coefficients(z):
+    """The propagator's coefficients as first written: every step builds a table of
+    CHEBYSHEV_MAX_DEGREE + 2 Bessel orders (and a longer one for the error)."""
+    cap = hf.CHEBYSHEV_MAX_DEGREE
+    for n in (cap + 2, 2**16):
+        bessel = scipy.special.jv(np.arange(n), z)
+        with np.errstate(divide="ignore", over="ignore"):
+            first = np.exp(n * np.log(z / 2) - scipy.special.gammaln(n + 1))
+        beyond = first / (1 - z / (2 * (n + 1))) if z < 2 * (n + 1) else np.inf
+        tails = 2 * (np.append(np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + beyond)
+        fits = np.flatnonzero(tails <= hf.CHEBYSHEV_TOL)
+        if fits.size:
+            break
+    if not fits.size or fits[0] > cap:
+        needed = f"degree {fits[0]}" if fits.size else f"a degree above {n - 1}"
+        raise RuntimeError(
+            f"Chebyshev propagator needs {needed} for tau * r = {z:.3e}, above the cap "
+            f"{cap}: the truncation residual bound at the cap is {tails[cap]:.3e}"
+        )
+    coeffs = 2 * (-1j) ** np.arange(fits[0] + 1) * bessel[: fits[0] + 1]
+    coeffs[0] /= 2
+    return coeffs
+
+
+def test_chebyshev_coefficients_match_long_table():
+    # the short Bessel table must pick the long table's degree at every z up to
+    # the cap (15.588...); one that stopped two orders past the closed-form
+    # degree bound picked a degree one too high at a few dozen of these z
+    zs = np.concatenate([[0.0], np.logspace(-8, np.log10(15.58), 40000)])
+    mismatched = [
+        z for z in zs
+        if not np.array_equal(hf._chebyshev_coefficients(z), reference_chebyshev_coefficients(z))
+    ]
+    assert mismatched == []
+    assert np.array_equal(hf._chebyshev_coefficients(0.0), [1.0])
+
+
+@pytest.mark.parametrize("z", [15.6, 40.0, 1e6])
+def test_chebyshev_cap_error_names_degree_and_residual(z):
+    # degree 41 from the cap + 2 table, degree 73 from the long one, and none found
+    with pytest.raises(RuntimeError) as want:
+        reference_chebyshev_coefficients(z)
+    with pytest.raises(RuntimeError, match="needs .*degree.* the truncation residual") as got:
+        hf._chebyshev_coefficients(z)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
-def test_lanczos_raises_when_not_converged(monkeypatch, sites):
+def test_chebyshev_raises_above_degree_cap(monkeypatch, sites):
     # the degree the Bessel tail bound asks for exceeds the cap
-    p, f, apply, interval, _ = midpoint_operator(monkeypatch, sites)
+    p, f, apply, interval, _ = midpoint_operator(sites)
     monkeypatch.setattr(hf, "CHEBYSHEV_MAX_DEGREE", 2)
     with pytest.raises(RuntimeError, match="residual"):
         hf._chebyshev_expm(apply, f, 1e-2 / p.epsilon, interval)
@@ -419,17 +511,17 @@ def test_lanczos_raises_when_not_converged(monkeypatch, sites):
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-1, 2.0])
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
-def test_chebyshev_expm_matches_dense_expm(monkeypatch, sites, tau):
+def test_chebyshev_expm_matches_dense_expm(sites, tau):
     # degrees 3, 7 and 16 at these phases, on both paths
-    p, f, apply, interval, matrix = midpoint_operator(monkeypatch, sites)
+    p, f, apply, interval, matrix = midpoint_operator(sites)
     got = hf._chebyshev_expm(apply, f, tau / p.epsilon, interval)
     expected = f @ expm(-1j * (tau / p.epsilon) * matrix)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
-def test_mean_field_interval_contains_spectrum(monkeypatch, sites):
-    _, _, _, (lo, hi), matrix = midpoint_operator(monkeypatch, sites)
+def test_mean_field_interval_contains_spectrum(sites):
+    _, _, _, (lo, hi), matrix = midpoint_operator(sites)
     spectrum = np.linalg.eigvalsh(matrix)
     assert lo <= spectrum[0] and spectrum[-1] <= hi
     # a bound, not a guess: no wider than twice the spectral radius
@@ -437,8 +529,8 @@ def test_mean_field_interval_contains_spectrum(monkeypatch, sites):
 
 
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
-def test_chebyshev_zero_potential_is_degree_zero(monkeypatch, sites):
-    p, f, apply, interval, matrix = midpoint_operator(monkeypatch, sites, zero_potential)
+def test_chebyshev_zero_potential_is_degree_zero(sites):
+    p, f, apply, interval, matrix = midpoint_operator(sites, zero_potential)
     assert interval == (0.0, 0.0) and not np.any(matrix)
     assert len(hf._chebyshev_coefficients(0.0)) == 1
 
@@ -487,17 +579,19 @@ def test_compressed_fft_step_tracks_exact_exchange(monkeypatch, m, n, bound):
 
 
 def compressed_fixture(make_potential=power_law_potential):
-    # a midpoint-like block: orbitals that are not orthonormal
+    # X~ recovered from U - X~ frozen at a midpoint-like block: orbitals that
+    # are not orthonormal
     g = Grid(2, 16)
     p = ScaledParams(5, 0.5)
     pot = make_potential(g, 0.5)
     rng = np.random.default_rng(50)
     f = random_slater(g, p, rng).orbitals
     f = f + 0.05 * (rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape))
+    u = hf._direct_potential(f, pot, p.n_particles).reshape(-1)
     image = hf._exchange(f, f, pot, p.n_particles).reshape(p.n_particles, -1)
     flat = f.reshape(p.n_particles, -1)
-    exchange, _ = hf._compressed_exchange(flat, image, g.cell_volume)
-    return g, flat, image, exchange, rng
+    field, _ = hf._fft_frozen_field(flat, pot, g, p.n_particles)
+    return g, flat, image, lambda block: u * block - field(block), rng
 
 
 def test_compressed_exchange_is_exact_on_frozen_span():
