@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from hflab.hartree_fock import SlaterState, hf_energy
 from hflab.lattice import DenseOperator, Field, ScaledParams
@@ -46,7 +47,7 @@ def kinetic_trace(state, epsilon_scaled: bool) -> float:
         if epsilon_scaled:
             mult = state.params.epsilon**2 * mult
         axes = tuple(range(1, g.dim + 1))
-        hat = np.fft.fftn(state.orbitals, axes=axes)
+        hat = scipy.fft.fftn(state.orbitals, axes=axes)
         return float(g.cell_volume * np.sum(mult[None, ...] * np.abs(hat) ** 2) / g.site_count)
     if isinstance(state, DenseOperator):
         g = state.grid
@@ -54,8 +55,8 @@ def kinetic_trace(state, epsilon_scaled: bool) -> float:
         if epsilon_scaled:
             raise ValueError("dense input carries no scaling block; pass a SlaterState")
         # momentum diagonal of F omega F^-1
-        a = np.fft.fftn(state.matrix.reshape(g.shape + g.shape), axes=tuple(range(g.dim)))
-        b = np.fft.ifftn(a, axes=tuple(range(g.dim, 2 * g.dim)))
+        a = scipy.fft.fftn(state.matrix.reshape(g.shape + g.shape), axes=tuple(range(g.dim)))
+        b = scipy.fft.ifftn(a, axes=tuple(range(g.dim, 2 * g.dim)))
         diag = b.reshape(g.site_count, g.site_count).diagonal()
         return float(np.real(np.sum(mult * diag)))
     raise TypeError("expected a SlaterState or DenseOperator")
@@ -142,14 +143,14 @@ def interpolation_young_chain(state, potential: PowerLawPotential,
     and must hold with zero violations; the first and last links carry measured
     constants and are recorded via their ratios.
     """
-    alpha = potential.alpha
-    n = params.n_particles
     rho = charge_density(state)
-    l1 = field_lp_norm(rho, 1.0)
-    l53 = field_lp_norm(rho, 5.0 / 3.0)
-    q = hls_index(alpha)
-    lq = field_lp_norm(rho, q)
-    links = [
+    norms = (field_lp_norm(rho, p) for p in (1.0, 5.0 / 3.0, hls_index(potential.alpha)))
+    return _chain_links(potential.alpha, params.n_particles, *norms)
+
+
+def _chain_links(alpha: float, n: int, l1: float, l53: float, lq: float) -> list:
+    """The interpolation, Young-split and exponent links from the norms of rho."""
+    return [
         ChainLink(
             "interpolation",
             lq**2,
@@ -166,35 +167,31 @@ def interpolation_young_chain(state, potential: PowerLawPotential,
             2.0,
         ),
     ]
-    return links
 
 
 def energy_report(state: SlaterState, potential: PowerLawPotential) -> EnergyReport:
+    """Every energy quantity of one state, each computed once."""
     p = state.params
     rho = charge_density(state)
-    lt = lieb_thirring_check(state)
+    l1 = field_lp_norm(rho, 1.0)
+    l53 = field_lp_norm(rho, 5.0 / 3.0)
+    lq = field_lp_norm(rho, hls_index(potential.alpha))
+    kinetic_plain = kinetic_trace(state, epsilon_scaled=False)
+    kinetic_scaled = kinetic_trace(state, epsilon_scaled=True)
     pair = pair_energy(rho, potential, p.n_particles)
-    q = hls_index(potential.alpha)
-    lq = field_lp_norm(rho, q)
     hls_ratio = pair / (lq**2 / p.n_particles) if lq > 0 else np.inf
-    links = interpolation_young_chain(state, potential, p)
-    links.append(
-        ChainLink(
-            "pair-energy-closure",
-            pair,
-            max(hls_ratio, 1.0)
-            * (p.n_particles + kinetic_trace(state, epsilon_scaled=True)),
-        )
-    )
+    links = _chain_links(potential.alpha, p.n_particles, l1, l53, lq)
+    closure = max(hls_ratio, 1.0) * (p.n_particles + kinetic_scaled)
+    links.append(ChainLink("pair-energy-closure", pair, closure))
     return EnergyReport(
-        kinetic_scaled=kinetic_trace(state, epsilon_scaled=True),
-        kinetic_plain=lt["rhs"],
-        rho_l1=field_lp_norm(rho, 1.0),
-        rho_53=field_lp_norm(rho, 5.0 / 3.0),
+        kinetic_scaled=kinetic_scaled,
+        kinetic_plain=kinetic_plain,
+        rho_l1=l1,
+        rho_53=l53,
         rho_pair_index=lq,
         rho_pair_index_printed=field_lp_norm(rho, 6.0 / (5.0 - potential.alpha)),
         pair=pair,
-        lieb_thirring_ratio=lt["ratio"],
+        lieb_thirring_ratio=l53 ** (5.0 / 3.0) / kinetic_plain if kinetic_plain > 0 else np.inf,
         hls_ratio=hls_ratio,
         links=links,
     )

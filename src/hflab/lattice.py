@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 FIELD_SITE_CAP = 2**20
 DENSE_SIDE_CAP = 2**10
@@ -174,11 +175,11 @@ def normalized(f: Field) -> Field:
 
 
 def fft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(values.reshape(grid.shape))
+    return scipy.fft.fftn(values.reshape(grid.shape))
 
 
 def ifft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(values.reshape(grid.shape))
+    return scipy.fft.ifftn(values.reshape(grid.shape))
 
 
 def apply_kinetic(f: Field, params: ScaledParams) -> Field:
@@ -263,8 +264,8 @@ def spectral_multiplier_operator(grid: Grid, multiplier: np.ndarray) -> DenseOpe
     n = grid.site_count
     cols = np.eye(n, dtype=complex).reshape(grid.shape + (n,))
     axes = tuple(range(grid.dim))
-    hat = np.fft.fftn(cols, axes=axes)
-    out = np.fft.ifftn(multiplier[..., None] * hat, axes=axes)
+    hat = scipy.fft.fftn(cols, axes=axes)
+    out = scipy.fft.ifftn(multiplier[..., None] * hat, axes=axes)
     return DenseOperator(grid, out.reshape(n, n))
 
 

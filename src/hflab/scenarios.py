@@ -25,10 +25,8 @@ from hflab import energy as energy_mod
 from hflab import fock as fock_mod
 from hflab import semiclassics as sc
 from hflab.fewbody import hf_vs_exact_probe
-from hflab.hartree_fock import (
-    density_matrix, hs_distance_squared, loewdin_orthonormalize, run_hf, slater_state,
-)
-from hflab.lattice import Grid, ScaledParams, operator_norms
+from hflab.hartree_fock import hs_distance_squared, loewdin_orthonormalize, run_hf, slater_state
+from hflab.lattice import Grid, ScaledParams
 from hflab.potentials import (
     fdl_constant, fdl_reconstruct, power_law_potential, radial_quadrature, split_quadrature,
 )
@@ -190,8 +188,7 @@ def scenario_fermi_ball_1d(cfg: RunConfig) -> ScenarioResult:
     config = sc.DiagnosticsConfig(
         delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
     )
-    dense_snaps = [(t, density_matrix(s)) for t, s in snaps]
-    series = sc.commutator_density_series(dense_snaps, params.n_particles, params.epsilon, config)
+    series = sc.commutator_density_series(snaps, params.n_particles, params.epsilon, config)
     budget, sup = series["series"], series["sup_over_n_eps"]
     stationarity = [(float(t), float(d)) for (t, _), d in zip(snaps, dists)]
     budget_rows = [(r.time, r.axis, r.norm_l1, r.norm_lp, r.over_n_eps, sup)
@@ -235,9 +232,8 @@ def scenario_gaussian_packets(cfg: RunConfig) -> ScenarioResult:
     rows = []
     for n in (8, 16, 32, 64):
         params = ScaledParams(n, cfg.alpha)
-        omega = density_matrix(packet_slater(grid, params))
-        tr_x = operator_norms(sc.commutator_position(omega, 0, sc.PERIODIC))["trace_norm"]
-        tr_p = operator_norms(sc.commutator_momentum(omega, 0, params.epsilon))["trace_norm"]
+        tr_x, tr_p = sc.commutator_trace_norms(
+            packet_slater(grid, params), 0, params.epsilon, sc.PERIODIC)
         rows.append((n, params.epsilon, n * params.epsilon, tr_x, tr_p))
     x = np.log([row[2] for row in rows])
     y = np.log([row[3] for row in rows])
@@ -347,8 +343,7 @@ def scenario_window_audit(cfg: RunConfig) -> ScenarioResult:
     params = ScaledParams(4, cfg.alpha, cfg.epsilon_override)
     state = packet_slater(grid, params, width=cfg.length / 8.0, centered=True)
     config = sc.DiagnosticsConfig(delta=cfg.delta, lp_exponent=cfg.lp_exponent)
-    radii = np.exp(np.linspace(np.log(grid.h), np.log(grid.length / 2.0), 7))
-    audit = sc.window_commutator_audit(density_matrix(state), config, radii=radii)
+    audit = sc.window_commutator_audit(state, config)
     lo, hi = 2.0 * grid.h - 1e-12, grid.length / 4.0 + 1e-12
     trust = [r.ratio for r in audit.rows if lo <= r.radius <= hi and np.isfinite(r.ratio)]
     # 1d companion: the fitted exponent is reported without a verdict
@@ -356,7 +351,7 @@ def scenario_window_audit(cfg: RunConfig) -> ScenarioResult:
     config1 = sc.DiagnosticsConfig(
         delta=cfg.delta, lp_exponent=cfg.lp_exponent, position_convention=sc.PERIODIC
     )
-    audit1 = sc.window_commutator_audit(density_matrix(state1), config1)
+    audit1 = sc.window_commutator_audit(state1, config1)
     rows = [(r.radius, ";".join(f"{c:.17g}" for c in r.center), r.lhs, r.rhs, r.ratio)
             for r in audit.rows]
     exponent_err = abs(audit.fitted_exponent - audit.predicted_exponent)

@@ -10,10 +10,13 @@ rescaled by L / (2 pi) (for delocalized states).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from hflab.hartree_fock import SlaterState
 from hflab.lattice import (
     DenseOperator,
     Field,
@@ -44,8 +47,6 @@ class DiagnosticsConfig:
     delta: float = 0.1
     lp_exponent: float = 6.0
     position_convention: str = PLAIN
-    window_radii: tuple = ()
-    window_centers: tuple = ()
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -116,13 +117,18 @@ def field_lp_norm(f: Field, p: float) -> float:
 COMMUTATOR_CHUNK_POINTS = 2**20
 
 
-def _range_factor(omega: DenseOperator):
-    """(lam, E) with omega = E diag(lam) E^*, one Hermitian eigh.
+def _range_factor(omega):
+    """(lam, E) with omega = E diag(lam) E^*.
 
-    Eigenpairs with |lam| <= M eps max|lam| are dropped: they are rounding
+    A SlaterState already holds its range: lam = 1 and E = h^(d/2) F^T, whose
+    columns are orthonormal.  A DenseOperator takes one Hermitian eigh;
+    eigenpairs with |lam| <= M eps max|lam| are dropped: they are rounding
     noise of the factorization and move a commutator trace norm by at most
     2 ||a||_inf sum |lam_dropped|.
     """
+    if isinstance(omega, SlaterState):
+        flat = omega.orbitals.reshape(omega.n_orbitals, -1)
+        return np.ones(omega.n_orbitals), np.sqrt(omega.grid.cell_volume) * flat.T
     if not omega.is_hermitian():
         raise ValueError("commutator diagnostics need a Hermitian omega")
     lam, vecs = np.linalg.eigh(omega.matrix)
@@ -160,6 +166,23 @@ def _commutator_spectra(factor, mults: np.ndarray, density: bool = False):
             sv = np.linalg.svd(core, compute_uv=False)
         norms[lo : lo + step] = np.sum(sv, axis=1)
     return norms, diags
+
+
+def commutator_trace_norms(omega, axis: int, epsilon: float, convention: str = PLAIN) -> tuple:
+    """(tr|[X_axis, omega]|, tr|[eps p_axis, omega]|) from one range factor.
+
+    omega is a SlaterState or a Hermitian DenseOperator.  p_axis is diagonal
+    in the unitary Fourier basis, so the momentum commutator is the position
+    routine applied to the transformed factor with multiplier eps * k_axis.
+    """
+    g = omega.grid
+    lam, vecs = _range_factor(omega)
+    x, scale = _position_multiplier(g, axis, convention)
+    (tr_x,), _ = _commutator_spectra((lam, vecs), x[None])
+    hat = scipy.fft.fftn(vecs.reshape(g.shape + (-1,)), axes=tuple(range(g.dim)), norm="ortho")
+    k = epsilon * g.momentum_mesh()[axis].reshape(1, -1)
+    (tr_p,), _ = _commutator_spectra((lam, hat.reshape(vecs.shape)), k)
+    return float(scale * tr_x), float(tr_p)
 
 
 def _position_commutator_densities(factor, g, convention: str) -> list:
@@ -229,9 +252,8 @@ class WindowCommutatorAudit:
     degenerate_rows: int
 
 
-def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
-                            radii=None, centers=None) -> WindowCommutatorAudit:
-    """Trace-norm bound audit for window commutators.
+def window_commutator_audit(omega, config: DiagnosticsConfig, radii=None) -> WindowCommutatorAudit:
+    """Trace-norm bound audit for the window commutators of a Slater or Hermitian dense omega.
 
     For each sampled (r, z): LHS = tr|[chi_(r,z), omega]| against the constant-free
     budget RHS = r^(3/2 - 3 delta) * sum_i ||rho_i||_1^(1/6 + delta) *
@@ -245,25 +267,14 @@ def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
     delta = config.delta
     if radii is None:
         radii = np.exp(np.linspace(np.log(g.h), np.log(g.length / 2.0), 7))
-    if centers is None:
-        per_axis = {1: 8, 2: 3, 3: 2}[g.dim]
-        step = max(1, g.m // per_axis)
-        pts = g.axis_coordinates()[step // 2 :: step]
-        if g.dim == 1:
-            centers = [(float(c),) for c in pts]
-        else:
-            import itertools
-
-            centers = list(itertools.product((float(c) for c in pts), repeat=g.dim))
+    per_axis = {1: 8, 2: 3, 3: 2}[g.dim]
+    step = max(1, g.m // per_axis)
+    pts = g.axis_coordinates()[step // 2 :: step]
+    centers = list(itertools.product((float(c) for c in pts), repeat=g.dim))
     factor = _range_factor(omega)
     densities = _position_commutator_densities(factor, g, config.position_convention)
     dens_l1 = [field_lp_norm(dens, 1.0) for dens in densities]
     dens_max = [maximal_function(dens) for dens in densities]
-
-    def locate(center):
-        return tuple(
-            int(round(center[axis] / g.h)) % g.m for axis in range(g.dim)
-        )
 
     windows = [(float(r), z) for r in radii for z in centers]
     chis = np.array([gaussian_window(g, np.array(z), r).reshape(-1) for r, z in windows])
@@ -271,7 +282,7 @@ def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
     rows = []
     degenerate = 0
     for (r, z), lhs in zip(windows, lhs_all):
-        site = locate(z)
+        site = tuple(int(round(c / g.h)) % g.m for c in z)
         rhs = 0.0
         for axis in range(g.dim):
             mstar = float(np.real(dens_max[axis].values[site]))
@@ -284,11 +295,7 @@ def window_commutator_audit(omega: DenseOperator, config: DiagnosticsConfig,
     finite = [row.ratio for row in rows if np.isfinite(row.ratio)]
     fitted_c = float(np.max(finite)) if finite else np.inf
     radii = np.asarray(radii, dtype=float)
-    means = []
-    for r in radii:
-        vals = [row.lhs for row in rows if row.radius == r]
-        means.append(np.mean(vals))
-    means = np.asarray(means)
+    means = np.mean(lhs_all.reshape(len(radii), len(centers)), axis=1)
     keep = means > 1e-14
     if np.count_nonzero(keep) >= 2:
         slope = np.polyfit(np.log(radii[keep]), np.log(means[keep]), 1)[0]
@@ -319,9 +326,9 @@ def commutator_density_series(snapshots, n_particles: int, epsilon: float,
                               config: DiagnosticsConfig) -> dict:
     """Per-time budget sum_i (||rho_i||_1 + ||rho_i||_p) divided by N * eps.
 
-    `snapshots` is an iterable of (time, DenseOperator) pairs of dense
-    projections sampled along a trajectory.  The verdict is the sup over the
-    samples; whether it stays bounded is measured, not assumed.
+    `snapshots` is an iterable of (time, omega) pairs sampled along a trajectory,
+    omega a SlaterState or a Hermitian DenseOperator.  The verdict is the sup
+    over the samples; whether it stays bounded is measured, not assumed.
     """
     rows = []
     totals = []

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hflab.hartree_fock import density_matrix
+from hflab.hartree_fock import SlaterState, density_matrix
 from hflab.lattice import (
     DenseOperator,
     Field,
@@ -20,6 +22,7 @@ from hflab.semiclassics import (
     commutator_density_series,
     commutator_momentum,
     commutator_position,
+    commutator_trace_norms,
     diagonal_density,
     field_lp_norm,
     maximal_function,
@@ -245,9 +248,11 @@ def test_density_series_fermi_ball_constant():
 
 
 def _omega(kind, g):
-    """Rank-N projection, full-rank 0.5*I or a random Hermitian matrix."""
+    """Rank-N projection, its Slater orbitals, full-rank 0.5*I or a random Hermitian matrix."""
     n = g.site_count
     rng = np.random.default_rng(11)
+    if kind == "slater":
+        return random_slater(g, ScaledParams(3, 0.5), rng)
     if kind == "projection":
         return density_matrix(random_slater(g, ScaledParams(3, 0.5), rng))
     if kind == "half-identity":
@@ -262,15 +267,16 @@ def _assert_close(value, reference):
     assert np.all(np.abs(value - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
 
 
-@pytest.mark.parametrize("kind", ["projection", "half-identity", "hermitian"])
+@pytest.mark.parametrize("kind", ["projection", "half-identity", "hermitian", "slater"])
 @pytest.mark.parametrize("dim,m", [(1, 32), (3, 4)])
 @pytest.mark.parametrize("convention", [PLAIN, PERIODIC])
 def test_low_rank_commutators_match_dense_reference(convention, dim, m, kind):
     g = Grid(dim, m)
     om = _omega(kind, g)
+    dense_om = density_matrix(om) if isinstance(om, SlaterState) else om
     cfg = DiagnosticsConfig(delta=0.1, position_convention=convention)
     dense = [
-        diagonal_density(absolute_value(commutator_position(om, axis, convention)))
+        diagonal_density(absolute_value(commutator_position(dense_om, axis, convention)))
         for axis in range(dim)
     ]
     low_rank = _position_commutator_densities(_range_factor(om), g, convention)
@@ -282,11 +288,17 @@ def test_low_rank_commutators_match_dense_reference(convention, dim, m, kind):
         _assert_close(row.norm_lp, field_lp_norm(ref, cfg.lp_exponent))
     # every window trace norm against the dense Hermitian spectrum of i[chi, omega]
     audit = window_commutator_audit(om, cfg)
-    a = om.matrix
+    a = dense_om.matrix
     for row in audit.rows:
         chi = gaussian_window(g, np.array(row.center), row.radius).reshape(-1)
         herm = 1j * (chi[:, None] * a - a * chi[None, :])
         _assert_close(row.lhs, np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    # position and momentum trace norms against the SVDs of the dense commutators
+    for axis in range(dim):
+        tr_x, tr_p = commutator_trace_norms(om, axis, 0.5, convention)
+        ref_x = commutator_position(dense_om, axis, convention)
+        _assert_close(tr_x, operator_norms(ref_x)["trace_norm"])
+        _assert_close(tr_p, operator_norms(commutator_momentum(dense_om, axis, 0.5))["trace_norm"])
 
 
 def test_range_factor_rejects_non_hermitian():
@@ -296,10 +308,8 @@ def test_range_factor_rejects_non_hermitian():
         _range_factor(DenseOperator(g, a))
 
 
-def test_window_audit_factors_omega_once(monkeypatch):
-    # 3d m=8, N=4: one M x M eigh of omega, then only 2r x 2r cores
-    g = Grid(3, 8)
-    om = density_matrix(packet_slater(g, ScaledParams(4, 1.0), width=g.length / 8, centered=True))
+def _spy_linalg(monkeypatch) -> dict:
+    """Records the trailing matrix shape of every eigh, eigvalsh and svd call."""
     calls = {"eigh": [], "eigvalsh": [], "svd": []}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -309,10 +319,50 @@ def test_window_audit_factors_omega_once(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def _packets_3d(m, n):
+    g = Grid(3, m)
+    return packet_slater(g, ScaledParams(n, 1.0), width=g.length / 8, centered=True)
+
+
+def test_window_audit_factors_omega_once(monkeypatch):
+    # 3d m=8, N=4: one M x M eigh of omega, then only 2r x 2r cores
+    om = density_matrix(_packets_3d(8, 4))
+    calls = _spy_linalg(monkeypatch)
     window_commutator_audit(om, DiagnosticsConfig(delta=0.1))
     assert calls["eigh"] == [(512, 512)]
     assert calls["eigvalsh"] == []
     assert calls["svd"] and all(max(shape) <= 8 for shape in calls["svd"])
+
+
+def test_slater_diagnostics_make_no_eigh(monkeypatch):
+    # the orbitals are the range factor: no eigh, and only 2N x 2N cores
+    state = _packets_3d(8, 4)
+    cfg = DiagnosticsConfig(delta=0.1)
+    calls = _spy_linalg(monkeypatch)
+    window_commutator_audit(state, cfg)
+    commutator_density_series([(0.0, state)], 4, 0.5, cfg)
+    commutator_trace_norms(state, 0, 0.5, PERIODIC)
+    assert calls["eigh"] == calls["eigvalsh"] == []
+    assert calls["svd"] and all(max(shape) <= 8 for shape in calls["svd"])
+
+
+def test_slater_diagnostics_memory_past_dense_cap():
+    # 3d m=16 (M = 4096): one M x M complex array alone would take 256 MiB
+    state = _packets_3d(16, 8)
+    cfg = DiagnosticsConfig(delta=0.1)
+    tracemalloc.start()
+    try:
+        audit = window_commutator_audit(state, cfg)
+        series = commutator_density_series([(0.0, state)], 8, 0.5, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert len(audit.rows) == 56 and audit.degenerate_rows == 0
+    assert np.isfinite(audit.fitted_constant) and np.isfinite(series["sup_over_n_eps"])
 
 
 def test_commutator_chunks_leave_results_unchanged(monkeypatch):
