@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.special
+from scipy.linalg.blas import zaxpy, zgemm
+from scipy.linalg.lapack import get_lapack_funcs
 
 from hflab.lattice import (
     DenseOperator,
@@ -102,6 +104,22 @@ def slater_state(grid, orbitals, params, time=0.0, tol=1e-8) -> SlaterState:
     return state
 
 
+_heevd = get_lapack_funcs("heevd", dtype=complex)
+
+
+def _eigh(matrix: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues (and eigenvectors) of a small Hermitian matrix by LAPACK heevd."""
+    vals, vecs, info = _heevd(matrix, compute_v=vectors, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"heevd failed with info {info}")
+    return vals, vecs
+
+
+def _gram(rows: np.ndarray, volume: float) -> np.ndarray:
+    """volume * conj(rows) rows^T by one zgemm on the Fortran view rows.T: no conjugate copy."""
+    return zgemm(volume, rows.T, rows.T, trans_a=2)
+
+
 def _gram_defect(gram: np.ndarray) -> float:
     residual = gram.copy()
     residual.reshape(-1)[:: len(gram) + 1] -= 1.0
@@ -113,8 +131,8 @@ def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
 
     `gram` is the Gram matrix h^d conj(flat) flat^T of the rows.
     """
-    vals, vecs = np.linalg.eigh(gram)
-    if vals[0] <= 1e-14:  # eigh sorts the eigenvalues ascending
+    vals, vecs = _eigh(gram)
+    if vals[0] <= 1e-14:  # heevd sorts the eigenvalues ascending
         raise ValueError("orbital family is numerically rank deficient")
     inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
     # rows transform with the transpose: Gram maps as conj(B) G B^T
@@ -126,12 +144,6 @@ def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
     flat = np.asarray(orbitals, dtype=complex).reshape(len(orbitals), -1)
     gram = grid.cell_volume * (flat.conj() @ flat.T)
     return (_loewdin_transform(gram) @ flat).reshape(np.asarray(orbitals).shape)
-
-
-def density(state: SlaterState) -> Field:
-    """rho(x) = omega(x;x) / N; integrates to one."""
-    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
-    return Field(state.grid, rho.astype(complex))
 
 
 def _direct_potential(orbitals, potential, n_particles):
@@ -153,24 +165,25 @@ def _exchange(block, frozen, potential, n_particles):
     """
     n = frozen.shape[0]
     chunk = min(n, max(1, EXCHANGE_CHUNK_POINTS // block.size))
-    frozen_conj = frozen.conj()
     buf = np.empty((chunk,) + block.shape, dtype=complex)
     out = np.zeros_like(block)
     if block is frozen and chunk < n:
         row = np.empty(block.shape[1:], dtype=complex)
         for i in range(n):
             pair = buf[0, : n - i]
-            np.multiply(frozen_conj[i], block[i:], out=pair)
+            np.multiply(np.conjugate(frozen[i], out=row), block[i:], out=pair)
             pair = potential.convolve(pair, overwrite=True)
-            # frozen orbitals j > i reach row i through the conjugate pair
-            np.einsum("j...,j...->...", frozen_conj[i + 1:], pair[1:], out=row)
+            # frozen orbitals j > i reach row i through the conjugate pair;
+            # vecdot conjugates its first argument
+            np.vecdot(frozen[i + 1:], pair[1:], axis=0, out=row)
             out[i] += np.conjugate(row, out=row)
             pair *= frozen[i]
             out[i:] += pair
     else:
         for start in range(0, n, chunk):
             pair = buf[: min(chunk, n - start)]
-            np.multiply(frozen_conj[start:start + chunk, None], block[None], out=pair)
+            np.conjugate(frozen[start:start + chunk, None], out=pair)
+            pair *= block
             pair = potential.convolve(pair, overwrite=True)
             pair *= frozen[start:start + chunk, None]
             for term in pair:
@@ -179,51 +192,12 @@ def _exchange(block, frozen, potential, n_particles):
     return out
 
 
-def _apply_mean_field(block, frozen, u_vals, potential, n_particles):
-    """(U - X) applied to each row of `block`; X uses the frozen orbital set."""
-    return u_vals * block - _exchange(block, frozen, potential, n_particles)
-
-
 def _kinetic_multiply(block, multiplier):
     """ifft(multiplier * fft(f)) for each row of `block`."""
     axes = tuple(range(1, block.ndim))
     hat = scipy.fft.fftn(block, axes=axes)
     hat *= multiplier
     return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
-
-
-def hf_generator(state: SlaterState, potential: PowerLawPotential) -> np.ndarray:
-    """Action of -eps^2 Lap + (V * rho) - X on every orbital (stacked block)."""
-    g = state.grid
-    p = state.params
-    u_vals = _direct_potential(state.orbitals, potential, p.n_particles)
-    kinetic = _kinetic_multiply(state.orbitals, p.epsilon**2 * g.momentum_squared())
-    mean = _apply_mean_field(state.orbitals, state.orbitals, u_vals, potential, p.n_particles)
-    return kinetic + mean
-
-
-def apply_exchange(state: SlaterState, potential: PowerLawPotential, f: Field) -> Field:
-    """Exchange operator X f: (1/N) sum_i f_i * (V * (conj(f_i) f))."""
-    out = _exchange(f.values[None, ...], state.orbitals, potential, state.params.n_particles)
-    return Field(state.grid, out[0])
-
-
-def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOperator:
-    """Dense exchange operator with kernel (1/N) V(x-y) omega(x;y)."""
-    g = state.grid
-    omega = projection_from_orbitals(g, state.orbitals).matrix / g.cell_volume
-    n = g.site_count
-    dist = np.zeros((n, n))
-    half = g.length / 2.0
-    for axis in range(g.dim):
-        c = g.coordinate_mesh(axis).reshape(-1)
-        delta = np.mod(c[:, None] - c[None, :] + half, g.length) - half
-        dist += delta**2
-    dist = np.sqrt(dist)
-    with np.errstate(divide="ignore"):
-        v = np.minimum(dist ** (-potential.alpha), g.h ** (-potential.alpha))
-    kernel = v * omega / state.params.n_particles
-    return DenseOperator(g, kernel * g.cell_volume)
 
 
 def _chebyshev_coefficients(z):
@@ -280,32 +254,36 @@ def _chebyshev_coefficients(z):
     return coeffs
 
 
-def _chebyshev_expm(apply, block, tau, interval):
+def _chebyshev_expm(apply, block, tau, centre, radius):
     """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series.
 
-    `apply` maps a (k, M) block to H applied to each row; H is Hermitian with
-    its spectrum in `interval` = (lo, hi).  With c its centre and r its
-    half-width, exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r X) for
-    X = (H - c) / r, whose spectrum lies in [-1, 1] (Tal-Ezer and Kosloff).  The
-    degree is fixed in advance, so there is no small eigenproblem, no basis and
-    no residual check; the recurrence T_{k+1} = 2 X T_k - T_{k-1} keeps at most
-    four (k, M) blocks alive.  r = 0 is degree 0, an exact phase.
+    H is Hermitian with its spectrum in [c - r, c + r] and `apply` returns A b
+    as a new block, A = 2 (H - c) / r.  exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r X)
+    for X = A / 2, whose spectrum lies in [-1, 1] (Tal-Ezer and Kosloff).  The
+    degree is fixed in advance: no small eigenproblem, basis or residual check.
+    `block` is T_0 and is overwritten: T_{k+1} = A T_k - T_{k-1} goes over T_{k-1},
+    so the sum, T_{k-1}, T_k and A T_k are the only (k, M) blocks alive, and each
+    term is summed by axpy.  r = 0 is degree 0, an exact phase.
     """
-    lo, hi = interval
-    centre, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
     coeffs = _chebyshev_coefficients(tau * radius)
     out = coeffs[0] * block
     prev, cur = None, block
     for coeff in coeffs[1:]:
-        nxt = apply(cur)
-        nxt -= centre * cur
-        nxt *= (1.0 if prev is None else 2.0) / radius
-        if prev is not None:
-            nxt -= prev
-        out += coeff * nxt
-        prev, cur = cur, nxt
+        if prev is None:
+            prev, cur = cur, apply(cur)
+            cur *= 0.5  # T_1 = X T_0
+        else:
+            np.subtract(apply(cur), prev, out=prev)
+            prev, cur = cur, prev
+        zaxpy(cur.reshape(-1), out.reshape(-1), a=coeff)
     out *= np.exp(-1j * tau * centre)
     return out
+
+
+def _normalization(lo, hi):
+    """Centre c, radius r and the factor 2 / r of A = 2 (H - c) / r for [lo, hi]; 0 if r = 0."""
+    centre, radius = (hi + lo) / 2.0, (hi - lo) / 2.0
+    return centre, radius, (2.0 / radius if radius > 0 else 0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -320,7 +298,8 @@ def _half_kinetic(grid: Grid, phase_time: float, dense: bool) -> np.ndarray:
 
 
 # Step operators on (k, M) row blocks, by FFT and as dense M x M matrices: self_field(F) is
-# H(F) F, and frozen_field(F) the mean field frozen at F with an interval holding its spectrum.
+# H(F) F, and frozen_field(F) the normalized A = 2 (H - c) / r of the mean field H frozen at
+# F, with the centre c and radius r of an interval holding the spectrum of H.
 
 def _fft_kinetic(block, grid, phase_time):
     rows = block.reshape((len(block),) + grid.shape)
@@ -340,39 +319,43 @@ def _fft_self_field(frozen, potential, grid, n_particles):
 
 
 def _fft_frozen_field(frozen, potential, grid, n_particles):
-    """U - X~ with X~ = P X + X P - P X P, given the rows F, and an interval holding its spectrum.
+    """A for H = U - X~ with X~ = P X + X P - P X P, given the rows F, and (c, r).
 
     P is the h^d-orthogonal projection onto span(F) and X the exchange frozen
     there, so X~ equals X on that span; off it X~ drops (1 - P) X (1 - P).
     With Loewdin rows q = S F (so X q = S X F), the Hermitian core
     K_ij = <q_i, X q_j> and z = X q - K q / 2 it is X~ = sum_i |q_i><z_i| + |z_i><q_i|,
-    Hermitian whatever the rounding in K, and it inverts no core matrix.  One
-    application is four thin (k, M) x (M, N) products; it transforms no pair
-    density.  The rows q are orthonormal, so ||X~|| <= 2 ||z|| = b, read off
-    the N x N Gram matrix of z, and the spectrum lies in [min u - b, max u + b].
+    Hermitian whatever the rounding in K, and it inverts no core matrix.  The
+    rows q are orthonormal, so ||X~|| <= 2 ||z|| = b, read off the N x N Gram
+    matrix of z: H has its spectrum in [min u - b, max u + b].  With the shift
+    and scale folded into u and z, A b is one block u' b and four thin zgemm
+    products, two accumulated into that block; it transforms no pair density.
     """
     u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
-    cell_volume = grid.cell_volume
-    s = _loewdin_transform(cell_volume * (frozen.conj() @ frozen.T))
+    volume = grid.cell_volume
+    s = _loewdin_transform(_gram(frozen, volume))
     q = s @ frozen
     z = s @ image
-    core = cell_volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
-    z -= 0.5 * (core.T @ q)
-    # kept conjugated, so the coefficients <q_i, b> are block @ q.T
-    np.conjugate(q, out=q)
-    np.conjugate(z, out=z)
-    bound = 2.0 * np.sqrt(max(np.linalg.eigvalsh(cell_volume * (z @ z.conj().T))[-1], 0.0))
+    del image
+    core = zgemm(volume, q.T, z.T, trans_a=2)  # core[i, j] = <q_i, X q_j>
+    z = zgemm(-0.5, q.T, core, beta=1.0, c=z.T, overwrite_c=True).T  # z -= K^T q / 2, in place
+    bound = 2.0 * np.sqrt(max(_eigh(_gram(z, volume), vectors=False)[0][-1], 0.0))
+    centre, radius, scale = _normalization(u_vals.min() - bound, u_vals.max() + bound)
+    u_vals = (u_vals - centre) * scale
+    z *= -scale  # A b = u' b - (2 / r) X~ b, and X~ is linear in z
 
     def apply(block):
-        on_q = cell_volume * (block @ q.T)
-        on_z = cell_volume * (block @ z.T)
-        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i, conjugated back
-        out = on_z.conj() @ q
-        out += on_q.conj() @ z
-        out = np.conjugate(out, out=out)
-        return np.subtract(u_vals * block, out, out=out)
+        out = np.empty_like(block)
+        for row, image_row in zip(block, out):  # no broadcast: numpy buffers those
+            np.multiply(u_vals, row, out=image_row)
+        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i; the Fortran views b.T and out.T
+        # let zgemm take the conjugate transposes and accumulate into out
+        on_z = zgemm(volume, z.T, block.T, trans_a=2)
+        on_q = zgemm(volume, q.T, block.T, trans_a=2)
+        out = zgemm(1.0, q.T, on_z, beta=1.0, c=out.T, overwrite_c=True)
+        return zgemm(1.0, z.T, on_q, beta=1.0, c=out, overwrite_c=True).T
 
-    return apply, (u_vals.min() - bound, u_vals.max() + bound)
+    return apply, centre, radius
 
 
 def _dense_kinetic(block, grid, phase_time):
@@ -397,12 +380,15 @@ def _dense_self_field(frozen, potential, grid, n_particles):
 
 
 def _dense_frozen_field(frozen, potential, grid, n_particles):
-    """The field frozen at F, applied as block @ matrix; Gershgorin discs bound its spectrum."""
+    """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs."""
     matrix = _dense_field(frozen, potential, grid, n_particles)
     centres = matrix.diagonal().real
     radii = np.abs(matrix).sum(axis=1)
     radii -= np.abs(centres)
-    return matrix.__rmatmul__, ((centres - radii).min(), (centres + radii).max())
+    centre, radius, scale = _normalization((centres - radii).min(), (centres + radii).max())
+    matrix.reshape(-1)[:: len(matrix) + 1] -= centre
+    matrix *= scale
+    return matrix.__rmatmul__, centre, radius
 
 
 def hf_step(state: SlaterState, potential: PowerLawPotential, dt: float) -> SlaterState:
@@ -430,15 +416,18 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
     f1 = kinetic(state.orbitals.reshape(state.n_orbitals, -1), g, phase_time)
 
     # predictor: first-order half-step of the mean-field flow fixes the midpoint
-    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * self_field(f1, potential, g, p.n_particles)
-    midpoint_field, interval = frozen_field(f_mid, potential, g, p.n_particles)
+    f_mid = self_field(f1, potential, g, p.n_particles)
+    f_mid *= -1j * (dt / (2.0 * p.epsilon))
+    f_mid += f1
+    midpoint_field, centre, radius = frozen_field(f_mid, potential, g, p.n_particles)
     del f_mid  # the frozen operator holds no reference; freed, it lowers the propagator peak
 
-    f2 = _chebyshev_expm(midpoint_field, f1, dt / p.epsilon, interval)
+    f2 = _chebyshev_expm(midpoint_field, f1, dt / p.epsilon, centre, radius)  # consumes f1
+    del f1
 
     f3 = kinetic(f2, g, phase_time)
 
-    gram = g.cell_volume * (f3.conj() @ f3.T)  # serves the drift check and the Loewdin transform
+    gram = _gram(f3, g.cell_volume)  # serves the drift check and the Loewdin transform
     defect = _gram_defect(gram)
     if defect > GRAM_ABORT:
         raise RuntimeError(
@@ -479,16 +468,29 @@ def run_hf(state, potential, dt, n_steps, snapshot_every=None):
 
 
 def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
-    """tr(-eps^2 Lap) omega + (1/2N) iint V [omega(x;x) omega(y;y) - |omega(x;y)|^2]."""
+    """tr(-eps^2 Lap) omega + (1/2N) iint V [omega(x;x) omega(y;y) - |omega(x;y)|^2].
+
+    With Q(g) = h^d sum_x conj(g) (V * g), taken by Parseval from forward
+    transforms alone (`PowerLawPotential.pair_energy`), the pair terms are Q(rho),
+    rho = sum_j |f_j|^2, and sum_ij Q(conj(f_i) f_j) = sum_i Q(|f_i|^2) +
+    2 sum_{i<j} Q(conj(f_i) f_j).  One (N, M) buffer holds the orbital
+    transforms, then each row's pairs.
+    """
     g = state.grid
-    p = state.params
     f = state.orbitals
-    hat = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
-    kin_mult = p.epsilon**2 * g.momentum_squared()
-    kinetic = g.cell_volume * np.sum(kin_mult * np.abs(hat) ** 2) / g.site_count
-    u_vals = _direct_potential(f, potential, p.n_particles)
-    mean = _apply_mean_field(f, f, u_vals, potential, p.n_particles)
-    return float(kinetic + 0.5 * g.cell_volume * np.real(np.vdot(f, mean)))
+    n = len(f)
+    buf = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
+    k2 = state.params.epsilon**2 * g.momentum_squared()
+    kinetic = sum(np.vdot(row, row * k2).real for row in buf)
+    rho = np.zeros(g.shape)
+    exchange = 0.0
+    for i in range(n):
+        pair = np.multiply(f[i].conj(), f[i:], out=buf[: n - i])
+        rho += pair[0].real
+        energies = potential.pair_energy(pair)
+        exchange += 2.0 * energies.sum() - energies[0]
+    direct = potential.pair_energy(rho[None])[0]
+    return float(g.cell_volume * kinetic / g.site_count + 0.5 * (direct - exchange) / n)
 
 
 def density_matrix(state: SlaterState) -> DenseOperator:
@@ -509,27 +511,3 @@ def hs_distance_squared(a: SlaterState, b: SlaterState) -> float:
     off_a = fb - overlaps @ fa
     off_b = fa - overlaps.conj().T @ fb
     return float(a.grid.cell_volume * (np.vdot(off_a, off_a) + np.vdot(off_b, off_b)).real)
-
-
-def save_checkpoint(state: SlaterState, path) -> None:
-    """Binary orbital dump with grid/scaling header; round-trips bit-exactly."""
-    np.savez(
-        path,
-        dim=state.grid.dim,
-        m=state.grid.m,
-        length=state.grid.length,
-        n_particles=state.params.n_particles,
-        alpha=state.params.alpha,
-        epsilon=state.params.epsilon,
-        time=state.time,
-        orbitals=state.orbitals,
-    )
-
-
-def load_checkpoint(path) -> SlaterState:
-    data = np.load(path)
-    grid = Grid(int(data["dim"]), int(data["m"]), float(data["length"]))
-    params = ScaledParams(
-        int(data["n_particles"]), float(data["alpha"]), float(data["epsilon"])
-    )
-    return SlaterState(grid, data["orbitals"], params, float(data["time"]))

@@ -199,6 +199,14 @@ class PowerLawPotential:
         hat *= self._scaled_v_hat
         return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
 
+    def pair_energy(self, values: np.ndarray) -> np.ndarray:
+        """h^d sum_x conj(f) (V * f) per leading row f of `values` (complex input is overwritten),
+        by Parseval h^d / M sum_k (h^d v_hat)(k) |f_hat(k)|^2: no inverse transform."""
+        g = self.grid
+        hat = scipy.fft.fftn(values, axes=tuple(range(-g.dim, 0)), overwrite_x=True)
+        power = [np.vdot(row, row * self._scaled_v_hat).real for row in hat]
+        return g.cell_volume / g.site_count * np.array(power)
+
 
 def power_law_potential(grid: Grid, alpha: float) -> PowerLawPotential:
     if not 0.0 < alpha <= 1.0:

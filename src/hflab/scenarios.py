@@ -417,6 +417,7 @@ class Scenario:
     run: Callable[[RunConfig], ScenarioResult]
     description: str
     defaults: dict = field(default_factory=dict)  # preset values over the RunConfig defaults
+    honours: str = ""  # the config fields the preset reads, besides the seed
 
 
 SCENARIOS = {
@@ -424,34 +425,42 @@ SCENARIOS = {
         scenario_fdl_verify, "window-representation identity for the alpha grid"),
     "fermi-ball-1d": Scenario(
         scenario_fermi_ball_1d, "stationary translation-invariant flow, 1d",
-        {"m": 64, "n_particles": 8, "alpha": 1.0}),
+        {"m": 64, "n_particles": 8, "alpha": 1.0}, "dim m length n_particles alpha "
+        "epsilon_override dt t_final snapshot_stride delta lp_exponent"),
     "fermi-ball-3d": Scenario(
-        scenario_fermi_ball_3d, "stationary translation-invariant flow, 3d", {"t_final": 0.2}),
+        scenario_fermi_ball_3d, "stationary translation-invariant flow, 3d", {"t_final": 0.2},
+        "length alpha epsilon_override dt t_final"),
     "gaussian-packets": Scenario(
-        scenario_gaussian_packets, "semiclassical commutator scaling probe"),
+        scenario_gaussian_packets, "semiclassical commutator scaling probe", {}, "length alpha"),
     "hf-vs-exact-n2": Scenario(
         scenario_hf_vs_exact,
         "two-body exact vs mean field, d=1, default M=64, alpha 0.5 and 1 fixed",
-        {"n_particles": 2, "m": 64}),
+        {"n_particles": 2, "m": 64}, "m length n_particles epsilon_override dt t_final"),
     "hf-vs-exact-n3": Scenario(
         scenario_hf_vs_exact, "three-body exact vs mean field, d=1, default M=16, alpha 0.5 fixed",
-        {"n_particles": 3, "m": 16, "t_final": 0.5}),
-    "fock-audit": Scenario(scenario_fock_audit, "second-quantization inequality audit"),
+        {"n_particles": 3, "m": 16, "t_final": 0.5},
+        "m length n_particles epsilon_override dt t_final"),
+    "fock-audit": Scenario(scenario_fock_audit, "second-quantization inequality audit", {}, "length"),
     "fluctuation-ring": Scenario(
-        scenario_fluctuation_ring, "fluctuation growth on a small ring", {"alpha": 0.5}),
+        scenario_fluctuation_ring, "fluctuation growth on a small ring", {"alpha": 0.5},
+        "length alpha dt t_final"),
     "window-audit": Scenario(
-        scenario_window_audit, "window-commutator trace bound audit", {"alpha": 0.5}),
+        scenario_window_audit, "window-commutator trace bound audit", {"alpha": 0.5},
+        "length alpha epsilon_override delta lp_exponent"),
     "energy-audit": Scenario(
-        scenario_energy_audit, "kinetic/pair-energy inequality chain", {"alpha": 1.0}),
+        scenario_energy_audit, "kinetic/pair-energy inequality chain", {"alpha": 1.0},
+        "length alpha dt t_final"),
 }
 
 
 def build_config(scenario: str, seed: int | None = None,
                  overrides: dict | None = None) -> RunConfig:
-    """The preset's defaults, then `overrides`, then `seed`; unknown fields are rejected."""
+    """The preset's defaults, then `overrides`, then `seed`; unknown fields are rejected, and
+    so is an override that moves a field the preset does not honour off its default."""
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario '{scenario}'")
-    data = {**SCENARIOS[scenario].defaults, **(overrides or {}), "scenario": scenario}
+    preset = SCENARIOS[scenario]
+    data = {**preset.defaults, **(overrides or {}), "scenario": scenario}
     if seed is not None:
         data["seed"] = seed
     unknown = set(data) - {f.name for f in dataclasses.fields(RunConfig)}
@@ -459,6 +468,11 @@ def build_config(scenario: str, seed: int | None = None,
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     cfg = RunConfig(**data)
     cfg.validate()
+    default = RunConfig(**{**preset.defaults, "scenario": scenario})
+    ignored = sorted(name for name in overrides or {} if name not in preset.honours.split()
+                     and name != "seed" and getattr(cfg, name) != getattr(default, name))
+    if ignored:
+        raise ValueError(f"{scenario} does not honour config fields {ignored}: the preset fixes them")
     return cfg
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -271,3 +272,28 @@ def test_exact_probe_rejects_other_particle_numbers(tmp_path, capsys):
     config.write_text(json.dumps({"scenario": "hf-vs-exact-n3", "n_particles": 4}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "2 or 3 particles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value",
+    [("fermi-ball-3d", "m", 16), ("fermi-ball-3d", "n_particles", 4), ("window-audit", "dim", 2),
+     ("window-audit", "n_particles", 4), ("energy-audit", "m", 16), ("gaussian-packets", "m", 128),
+     ("hf-vs-exact-n2", "alpha", 0.5), ("hf-vs-exact-n3", "alpha", 0.25),
+     ("fluctuation-ring", "m", 16), ("fluctuation-ring", "n_particles", 3)],
+)
+def test_run_rejects_overrides_the_preset_ignores(tmp_path, capsys, scenario, field, value):
+    config = tmp_path / "ignored.json"
+    config.write_text(json.dumps({field: value}))
+    args = ["run", "--scenario", scenario, "--config", str(config), "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert f"config fields ['{field}']" in capsys.readouterr().err
+    assert not (tmp_path / scenario).exists()
+
+
+def test_declared_fields_are_config_fields():
+    # an override equal to the preset default is no change, so a full config round-trips
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    for name, preset in SCENARIOS.items():
+        assert set(preset.honours.split()) <= names - {"scenario", "seed"}
+        full = json.loads(build_config(name, seed=4).to_json())
+        assert RunConfig.from_json(json.dumps(full)) == build_config(name, seed=4)

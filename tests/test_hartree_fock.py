@@ -10,23 +10,107 @@ from hflab import hartree_fock as hf
 from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
     SlaterState,
-    apply_exchange,
-    density,
     density_matrix,
-    exchange_kernel,
     hf_energy,
-    hf_generator,
     hf_step,
     hs_distance_squared,
-    load_checkpoint,
     loewdin_orthonormalize,
     run_hf,
-    save_checkpoint,
     slater_state,
 )
-from hflab.lattice import Field, Grid, ScaledParams, apply_kinetic, inner
-from hflab.potentials import convolve_potential, power_law_potential
+from hflab.lattice import (
+    DenseOperator, Field, Grid, ScaledParams, apply_kinetic, inner, projection_from_orbitals,
+)
+from hflab.potentials import PowerLawPotential, convolve_potential, power_law_potential
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, plane_wave, random_slater
+
+
+# References: the full mean field and generator, applied through the exchange the
+# step uses, the dense exchange kernel, the density and a checkpoint format.
+
+
+def apply_mean_field(block, frozen, u_vals, potential, n_particles):
+    """(U - X) applied to each row of `block`; X uses the frozen orbital set."""
+    return u_vals * block - hf._exchange(block, frozen, potential, n_particles)
+
+
+def hf_generator(state: SlaterState, potential: PowerLawPotential) -> np.ndarray:
+    """Action of -eps^2 Lap + (V * rho) - X on every orbital (stacked block)."""
+    g = state.grid
+    p = state.params
+    u_vals = hf._direct_potential(state.orbitals, potential, p.n_particles)
+    kinetic = hf._kinetic_multiply(state.orbitals, p.epsilon**2 * g.momentum_squared())
+    mean = apply_mean_field(state.orbitals, state.orbitals, u_vals, potential, p.n_particles)
+    return kinetic + mean
+
+
+def apply_exchange(state: SlaterState, potential: PowerLawPotential, f: Field) -> Field:
+    """Exchange operator X f: (1/N) sum_i f_i * (V * (conj(f_i) f))."""
+    out = hf._exchange(f.values[None, ...], state.orbitals, potential, state.params.n_particles)
+    return Field(state.grid, out[0])
+
+
+def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOperator:
+    """Dense exchange operator with kernel (1/N) V(x-y) omega(x;y)."""
+    g = state.grid
+    omega = projection_from_orbitals(g, state.orbitals).matrix / g.cell_volume
+    n = g.site_count
+    dist = np.zeros((n, n))
+    half = g.length / 2.0
+    for axis in range(g.dim):
+        c = g.coordinate_mesh(axis).reshape(-1)
+        delta = np.mod(c[:, None] - c[None, :] + half, g.length) - half
+        dist += delta**2
+    dist = np.sqrt(dist)
+    with np.errstate(divide="ignore"):
+        v = np.minimum(dist ** (-potential.alpha), g.h ** (-potential.alpha))
+    kernel = v * omega / state.params.n_particles
+    return DenseOperator(g, kernel * g.cell_volume)
+
+
+def density(state: SlaterState) -> Field:
+    """rho(x) = omega(x;x) / N; integrates to one."""
+    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
+    return Field(state.grid, rho.astype(complex))
+
+
+def save_checkpoint(state: SlaterState, path) -> None:
+    """Binary orbital dump with grid/scaling header; round-trips bit-exactly."""
+    np.savez(
+        path,
+        dim=state.grid.dim,
+        m=state.grid.m,
+        length=state.grid.length,
+        n_particles=state.params.n_particles,
+        alpha=state.params.alpha,
+        epsilon=state.params.epsilon,
+        time=state.time,
+        orbitals=state.orbitals,
+    )
+
+
+def load_checkpoint(path) -> SlaterState:
+    data = np.load(path)
+    grid = Grid(int(data["dim"]), int(data["m"]), float(data["length"]))
+    params = ScaledParams(
+        int(data["n_particles"]), float(data["alpha"]), float(data["epsilon"])
+    )
+    return SlaterState(grid, data["orbitals"], params, float(data["time"]))
+
+
+def generator_energy(state: SlaterState, potential: PowerLawPotential) -> float:
+    """The energy as <f, G f> less half the mean field's share, G the HF generator."""
+    f = state.orbitals
+    p = state.params
+    u = hf._direct_potential(f, potential, p.n_particles)
+    mean = apply_mean_field(f, f, u, potential, p.n_particles)
+    whole = np.vdot(f, hf_generator(state, potential)) - 0.5 * np.vdot(f, mean)
+    return float(state.grid.cell_volume * whole.real)
+
+
+def normalized_operator(apply, centre, radius):
+    """A = 2 (H - c) / r, for `apply` mapping a block b to H b."""
+    return lambda block: (apply(block) - centre * block) * (2.0 / radius)
 
 
 def zero_potential(grid, alpha=0.5):
@@ -127,8 +211,11 @@ def exact_fft_step(st, pot, dt):
 
     # the spectrum of the assembled operator is the exact interval
     spectrum = np.linalg.eigvalsh(apply(np.eye(g.site_count, dtype=complex)))
+    centre, radius = (spectrum[-1] + spectrum[0]) / 2.0, (spectrum[-1] - spectrum[0]) / 2.0
     flat = f1.reshape(p.n_particles, -1)
-    f2 = hf._chebyshev_expm(apply, flat, dt / p.epsilon, (spectrum[0], spectrum[-1])).reshape(f1.shape)
+    f2 = hf._chebyshev_expm(
+        normalized_operator(apply, centre, radius), flat, dt / p.epsilon, centre, radius
+    ).reshape(f1.shape)
     f3 = hf._kinetic_multiply(f2, phase)
     return SlaterState(g, loewdin_orthonormalize(g, f3), p, st.time + dt)
 
@@ -386,7 +473,7 @@ def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
     st = random_slater(g, p, np.random.default_rng(13))
     f = st.orbitals
     u = hf._direct_potential(f, pot, p.n_particles)
-    got = hf._apply_mean_field(f, f, u, pot, p.n_particles)
+    got = apply_mean_field(f, f, u, pot, p.n_particles)
     dense = exchange_kernel(st, pot)
     for j in range(p.n_particles):
         expected = u * f[j] - dense.apply(st.orbital(j)).values
@@ -442,15 +529,30 @@ def test_energy_matches_direct_minus_exchange_formula(dim, m, n):
     assert hf_energy(st, pot) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dim,m,n,make_potential",
+    [(1, 128, 8, power_law_potential), (2, 16, 5, power_law_potential),
+     (3, 16, 8, power_law_potential), (2, 16, 5, zero_potential)],
+    ids=["1d", "2d", "3d", "zero-potential"],
+)
+def test_parseval_energy_matches_generator_energy(dim, m, n, make_potential):
+    g = Grid(dim, m)
+    st = random_slater(g, ScaledParams(n, 0.5), np.random.default_rng(60 + dim))
+    pot = make_potential(g, 0.5)
+    assert hf_energy(st, pot) == pytest.approx(generator_energy(st, pot), rel=1e-13)
+
+
 def midpoint_operator(sites, make_potential=power_law_potential):
-    # the mean field frozen at a 1d m64 N4 packet state, on the path that
-    # DENSE_STEP_SITES = sites would select
+    # the mean field H frozen at a 1d m64 N4 packet state, on the path that
+    # DENSE_STEP_SITES = sites would select: its normalized A, centre and
+    # radius, and the matrix of H = c + (r / 2) A
     g = Grid(1, 64)
     p = ScaledParams(4, 0.5)
     f = packet_slater(g, p).orbitals.reshape(p.n_particles, -1)
     frozen_field = hf._dense_frozen_field if g.site_count <= sites else hf._fft_frozen_field
-    apply, interval = frozen_field(f, make_potential(g, 0.5), g, p.n_particles)
-    return p, f, apply, interval, apply(np.eye(g.site_count, dtype=complex))
+    apply, centre, radius = frozen_field(f, make_potential(g, 0.5), g, p.n_particles)
+    eye = np.eye(g.site_count, dtype=complex)
+    return p, f, (apply, centre, radius), centre * eye + (radius / 2.0) * apply(eye)
 
 
 def reference_chebyshev_coefficients(z):
@@ -503,25 +605,47 @@ def test_chebyshev_cap_error_names_degree_and_residual(z):
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
 def test_chebyshev_raises_above_degree_cap(monkeypatch, sites):
     # the degree the Bessel tail bound asks for exceeds the cap
-    p, f, apply, interval, _ = midpoint_operator(sites)
+    p, f, (apply, centre, radius), _ = midpoint_operator(sites)
     monkeypatch.setattr(hf, "CHEBYSHEV_MAX_DEGREE", 2)
     with pytest.raises(RuntimeError, match="residual"):
-        hf._chebyshev_expm(apply, f, 1e-2 / p.epsilon, interval)
+        hf._chebyshev_expm(apply, f, 1e-2 / p.epsilon, centre, radius)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-1, 2.0])
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
 def test_chebyshev_expm_matches_dense_expm(sites, tau):
     # degrees 3, 7 and 16 at these phases, on both paths
-    p, f, apply, interval, matrix = midpoint_operator(sites)
-    got = hf._chebyshev_expm(apply, f, tau / p.epsilon, interval)
+    p, f, (apply, centre, radius), matrix = midpoint_operator(sites)
+    got = hf._chebyshev_expm(apply, f.copy(), tau / p.epsilon, centre, radius)
     expected = f @ expm(-1j * (tau / p.epsilon) * matrix)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def reference_chebyshev_expm(apply, block, tau, centre, radius):
+    """The Chebyshev sum out of place: every T_k a new block, summed at the end."""
+    coeffs = hf._chebyshev_coefficients(tau * radius)
+    terms = [block, 0.5 * apply(block)][: len(coeffs)]
+    while len(terms) < len(coeffs):
+        terms.append(apply(terms[-1]) - terms[-2])
+    return np.exp(-1j * tau * centre) * sum(c * t for c, t in zip(coeffs, terms))
+
+
+@pytest.mark.parametrize("tau,degree", [(1e-3, 3), (1e-1, 7), (2.0, 16)])
+@pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
+def test_inplace_chebyshev_matches_out_of_place_reference(sites, tau, degree):
+    p, f, (apply, centre, radius), _ = midpoint_operator(sites)
+    assert len(hf._chebyshev_coefficients(tau / p.epsilon * radius)) == degree + 1
+    expected = reference_chebyshev_expm(apply, f, tau / p.epsilon, centre, radius)
+    block = f.copy()
+    got = hf._chebyshev_expm(apply, block, tau / p.epsilon, centre, radius)
+    assert not np.shares_memory(got, block)  # the block is scratch, not the result
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
 def test_mean_field_interval_contains_spectrum(sites):
-    _, _, _, (lo, hi), matrix = midpoint_operator(sites)
+    _, _, (_, centre, radius), matrix = midpoint_operator(sites)
+    lo, hi = centre - radius, centre + radius
     spectrum = np.linalg.eigvalsh(matrix)
     assert lo <= spectrum[0] and spectrum[-1] <= hi
     # a bound, not a guess: no wider than twice the spectral radius
@@ -530,14 +654,14 @@ def test_mean_field_interval_contains_spectrum(sites):
 
 @pytest.mark.parametrize("sites", [0, 64], ids=["fft", "dense"])
 def test_chebyshev_zero_potential_is_degree_zero(sites):
-    p, f, apply, interval, matrix = midpoint_operator(sites, zero_potential)
-    assert interval == (0.0, 0.0) and not np.any(matrix)
+    p, f, (_, centre, radius), matrix = midpoint_operator(sites, zero_potential)
+    assert (centre, radius) == (0.0, 0.0) and not np.any(matrix)
     assert len(hf._chebyshev_coefficients(0.0)) == 1
 
     def never(block):
         raise AssertionError("degree 0 applies no operator")
 
-    assert np.array_equal(hf._chebyshev_expm(never, f, 1e-2 / p.epsilon, interval), f)
+    assert np.array_equal(hf._chebyshev_expm(never, f.copy(), 1e-2 / p.epsilon, centre, radius), f)
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 64, 4), (1, 128, 8), (2, 8, 4)])
@@ -590,8 +714,9 @@ def compressed_fixture(make_potential=power_law_potential):
     u = hf._direct_potential(f, pot, p.n_particles).reshape(-1)
     image = hf._exchange(f, f, pot, p.n_particles).reshape(p.n_particles, -1)
     flat = f.reshape(p.n_particles, -1)
-    field, _ = hf._fft_frozen_field(flat, pot, g, p.n_particles)
-    return g, flat, image, lambda block: u * block - field(block), rng
+    field, centre, radius = hf._fft_frozen_field(flat, pot, g, p.n_particles)
+    # X~ = U - H with H = c + (r / 2) A
+    return g, flat, image, lambda block: (u - centre) * block - (radius / 2.0) * field(block), rng
 
 
 def test_compressed_exchange_is_exact_on_frozen_span():
@@ -721,6 +846,55 @@ def test_step_memory_bounded():
     assert peak <= 24 * 2**20
 
 
+def test_step_and_energy_stay_within_block_budget(monkeypatch):
+    # one orbital block per exchange chunk: the step holds the propagator's
+    # three Chebyshev blocks, the block A returns and the compressed exchange's
+    # q and z; the energy one buffer of transforms
+    g = Grid(3, 16)
+    p = ScaledParams(8, 1.0)
+    pot = power_law_potential(g, 1.0)
+    st = random_slater(g, p, np.random.default_rng(1))
+    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", st.orbitals.size)
+    st = hf_step(st, pot, 1e-3)  # fills the cached operators and v_hat
+    hf_energy(st, pot)
+    for run, blocks in [(lambda: hf_step(st, pot, 1e-3), 6.5), (lambda: hf_energy(st, pot), 3.0)]:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= blocks * st.orbitals.nbytes
+
+
+def test_blas_products_accumulate_in_place(monkeypatch):
+    # every zgemm and zaxpy given an output writes into it: the result is that
+    # array (out.T for a (k, M) block) and no copy is made
+    accumulated = []
+
+    def in_place(name, output):
+        blas = getattr(hf, name)
+
+        def run(*args, **kwargs):
+            target = output(args, kwargs)
+            result = blas(*args, **kwargs)
+            if target is not None:
+                accumulated.append(name)
+                assert result.__array_interface__ == target.__array_interface__
+            return result
+
+        return run
+
+    monkeypatch.setattr(hf, "zgemm", in_place("zgemm", lambda a, kw: kw.get("c")))
+    monkeypatch.setattr(hf, "zaxpy", in_place("zaxpy", lambda a, kw: a[1]))
+    g = Grid(1, 256)
+    p = ScaledParams(4, 0.5)
+    hf_step(packet_slater(g, p), power_law_potential(g, 0.5), 1e-3)
+    # z -= K^T q / 2, two accumulations per application of A and one axpy per term
+    assert accumulated.count("zgemm") == 1 + 2 * 3
+    assert accumulated.count("zaxpy") == 3
+
+
 def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
@@ -737,7 +911,7 @@ def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
         monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
         tracemalloc.start()
         try:
-            hf._apply_mean_field(block, f, u, pot, p.n_particles)
+            apply_mean_field(block, f, u, pot, p.n_particles)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
