@@ -64,8 +64,7 @@ def kinetic_trace(state, epsilon_scaled: bool) -> float:
 
 def pair_energy(rho: Field, potential: PowerLawPotential, n_particles: int) -> float:
     """(1/N) iint V(x-y) rho(x) rho(y) dx dy on the torus."""
-    conv = potential.convolve(rho.values.real)
-    return float(rho.grid.cell_volume * np.sum(rho.values.real * conv) / n_particles)
+    return float(potential.pair_energy(rho.values.real[None])[0] / n_particles)
 
 
 def hls_index(alpha: float) -> float:

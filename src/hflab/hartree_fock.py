@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.special
-from scipy.linalg.blas import zaxpy, zgemm
-from scipy.linalg.lapack import get_lapack_funcs
 
 from hflab.lattice import (
     DenseOperator,
@@ -89,7 +87,7 @@ class SlaterState:
 
     def gram_defect(self) -> float:
         flat = self.orbitals.reshape(self.n_orbitals, -1)
-        return _gram_defect(self.grid.cell_volume * (flat.conj() @ flat.T))
+        return _gram_defect(_gram(flat, self.grid.cell_volume))
 
     def copy(self) -> "SlaterState":
         return SlaterState(self.grid, self.orbitals.copy(), self.params, self.time)
@@ -104,20 +102,9 @@ def slater_state(grid, orbitals, params, time=0.0, tol=1e-8) -> SlaterState:
     return state
 
 
-_heevd = get_lapack_funcs("heevd", dtype=complex)
-
-
-def _eigh(matrix: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues (and eigenvectors) of a small Hermitian matrix by LAPACK heevd."""
-    vals, vecs, info = _heevd(matrix, compute_v=vectors, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"heevd failed with info {info}")
-    return vals, vecs
-
-
 def _gram(rows: np.ndarray, volume: float) -> np.ndarray:
-    """volume * conj(rows) rows^T by one zgemm on the Fortran view rows.T: no conjugate copy."""
-    return zgemm(volume, rows.T, rows.T, trans_a=2)
+    """The Gram matrix volume * conj(rows) rows^T of a (k, M) block."""
+    return volume * (rows.conj() @ rows.T)
 
 
 def _gram_defect(gram: np.ndarray) -> float:
@@ -131,8 +118,8 @@ def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
 
     `gram` is the Gram matrix h^d conj(flat) flat^T of the rows.
     """
-    vals, vecs = _eigh(gram)
-    if vals[0] <= 1e-14:  # heevd sorts the eigenvalues ascending
+    vals, vecs = np.linalg.eigh(gram)
+    if vals[0] <= 1e-14:  # eigh sorts the eigenvalues ascending
         raise ValueError("orbital family is numerically rank deficient")
     inv_sqrt = (vecs * (vals ** -0.5)) @ vecs.conj().T
     # rows transform with the transpose: Gram maps as conj(B) G B^T
@@ -141,9 +128,15 @@ def _loewdin_transform(gram: np.ndarray) -> np.ndarray:
 
 def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
     """Symmetric (minimal-change) orthonormalization of an orbital block."""
-    flat = np.asarray(orbitals, dtype=complex).reshape(len(orbitals), -1)
-    gram = grid.cell_volume * (flat.conj() @ flat.T)
-    return (_loewdin_transform(gram) @ flat).reshape(np.asarray(orbitals).shape)
+    block = np.asarray(orbitals, dtype=complex)
+    flat = block.reshape(len(block), -1)
+    return (_loewdin_transform(_gram(flat, grid.cell_volume)) @ flat).reshape(block.shape)
+
+
+def density(state: SlaterState) -> Field:
+    """rho(x) = omega(x;x) / N; integrates to one."""
+    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
+    return Field(state.grid, rho.astype(complex))
 
 
 def _direct_potential(orbitals, potential, n_particles):
@@ -173,10 +166,11 @@ def _exchange(block, frozen, potential, n_particles):
             pair = buf[0, : n - i]
             np.multiply(np.conjugate(frozen[i], out=row), block[i:], out=pair)
             pair = potential.convolve(pair, overwrite=True)
-            # frozen orbitals j > i reach row i through the conjugate pair;
-            # vecdot conjugates its first argument
-            np.vecdot(frozen[i + 1:], pair[1:], axis=0, out=row)
-            out[i] += np.conjugate(row, out=row)
+            # frozen orbitals j > i reach row i through the conjugate pair,
+            # conjugated in place and back: no conjugate copy of the frozen set
+            np.conjugate(pair[1:], out=pair[1:])
+            out[i] += np.einsum("j...,j...->...", frozen[i + 1:], pair[1:], out=row)
+            np.conjugate(pair[1:], out=pair[1:])
             pair *= frozen[i]
             out[i:] += pair
     else:
@@ -257,13 +251,11 @@ def _chebyshev_coefficients(z):
 def _chebyshev_expm(apply, block, tau, centre, radius):
     """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series.
 
-    H is Hermitian with its spectrum in [c - r, c + r] and `apply` returns A b
-    as a new block, A = 2 (H - c) / r.  exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r X)
-    for X = A / 2, whose spectrum lies in [-1, 1] (Tal-Ezer and Kosloff).  The
-    degree is fixed in advance: no small eigenproblem, basis or residual check.
-    `block` is T_0 and is overwritten: T_{k+1} = A T_k - T_{k-1} goes over T_{k-1},
-    so the sum, T_{k-1}, T_k and A T_k are the only (k, M) blocks alive, and each
-    term is summed by axpy.  r = 0 is degree 0, an exact phase.
+    H is Hermitian with its spectrum in [c - r, c + r]; `apply` returns A b as a
+    new block, A = 2 (H - c) / r, and exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r A / 2)
+    (Tal-Ezer and Kosloff), of a degree fixed in advance.  `block` is T_0 and is
+    overwritten: T_{k+1} = A T_k - T_{k-1} goes over T_{k-1}, so the sum, T_{k-1},
+    T_k and A T_k (or c_k T_k) are the only (k, M) blocks alive.  r = 0 is an exact phase.
     """
     coeffs = _chebyshev_coefficients(tau * radius)
     out = coeffs[0] * block
@@ -275,7 +267,7 @@ def _chebyshev_expm(apply, block, tau, centre, radius):
         else:
             np.subtract(apply(cur), prev, out=prev)
             prev, cur = cur, prev
-        zaxpy(cur.reshape(-1), out.reshape(-1), a=coeff)
+        out += coeff * cur
     out *= np.exp(-1j * tau * centre)
     return out
 
@@ -328,32 +320,40 @@ def _fft_frozen_field(frozen, potential, grid, n_particles):
     Hermitian whatever the rounding in K, and it inverts no core matrix.  The
     rows q are orthonormal, so ||X~|| <= 2 ||z|| = b, read off the N x N Gram
     matrix of z: H has its spectrum in [min u - b, max u + b].  With the shift
-    and scale folded into u and z, A b is one block u' b and four thin zgemm
-    products, two accumulated into that block; it transforms no pair density.
+    and scale folded into u and z, and conj(q) over conj(z) kept as one (2N, M)
+    basis, A b is u' b plus one product of the basis, written into the block
+    it returns; it transforms no pair density.
     """
     u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
     volume = grid.cell_volume
+    n = len(frozen)
     s = _loewdin_transform(_gram(frozen, volume))
-    q = s @ frozen
-    z = s @ image
+    basis = np.empty((2 * n, frozen.shape[1]), dtype=complex)  # q over z
+    q, z = basis[:n], basis[n:]
+    np.matmul(s, frozen, out=q)
+    np.matmul(s, image, out=z)
     del image
-    core = zgemm(volume, q.T, z.T, trans_a=2)  # core[i, j] = <q_i, X q_j>
-    z = zgemm(-0.5, q.T, core, beta=1.0, c=z.T, overwrite_c=True).T  # z -= K^T q / 2, in place
-    bound = 2.0 * np.sqrt(max(_eigh(_gram(z, volume), vectors=False)[0][-1], 0.0))
+    core = volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
+    z -= 0.5 * (core.T @ q)
+    # kept conjugated, so the coefficients of a block are block @ basis.T; the Gram
+    # matrix of conj(z) is the transpose of that of z, with the same eigenvalues
+    np.conjugate(basis, out=basis)
+    bound = 2.0 * np.sqrt(max(np.linalg.eigvalsh(_gram(z, volume))[-1], 0.0))
     centre, radius, scale = _normalization(u_vals.min() - bound, u_vals.max() + bound)
     u_vals = (u_vals - centre) * scale
-    z *= -scale  # A b = u' b - (2 / r) X~ b, and X~ is linear in z
+    # A b = u' b - (2 / r) X~ b, and each term of X~ has one factor z and one h^d
+    z *= -scale * volume
+    swap = np.r_[n:2 * n, :n]
 
     def apply(block):
-        out = np.empty_like(block)
-        for row, image_row in zip(block, out):  # no broadcast: numpy buffers those
-            np.multiply(u_vals, row, out=image_row)
-        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i; the Fortran views b.T and out.T
-        # let zgemm take the conjugate transposes and accumulate into out
-        on_z = zgemm(volume, z.T, block.T, trans_a=2)
-        on_q = zgemm(volume, q.T, block.T, trans_a=2)
-        out = zgemm(1.0, q.T, on_z, beta=1.0, c=out.T, overwrite_c=True)
-        return zgemm(1.0, z.T, on_q, beta=1.0, c=out, overwrite_c=True).T
+        # X~ b = sum_i <z_i, b> q_i + <q_i, b> z_i: the coefficients <q_i, b>, <z_i, b>
+        # of each row swap halves, and X~ b = conj(conj(coefficients) @ basis)
+        coeffs = block @ basis.T
+        out = np.matmul(coeffs[:, swap].conj(), basis)
+        np.conjugate(out, out=out)
+        for row, image_row in zip(block, out):  # row by row: u' b would be a second block
+            image_row += u_vals * row
+        return out
 
     return apply, centre, radius
 
@@ -362,32 +362,37 @@ def _dense_kinetic(block, grid, phase_time):
     return block @ _half_kinetic(grid, phase_time, True)
 
 
-def _dense_field(frozen, potential, grid, n_particles):
-    """diag(u) - (h^d/N) V o (F^* F) on rows; u = (h^d/N) rho V, rho = sum_j |f_j|^2."""
+def _dense_field_terms(frozen, potential, grid, n_particles):
+    """V o (F^* F), u = (h^d/N) rho V with rho = sum_j |f_j|^2, and h^d/N: the field on rows
+    is diag(u) - (h^d/N) V o (F^* F)."""
     pair = potential.pair_matrix
     scale = grid.cell_volume / n_particles
     matrix = frozen.conj().T @ frozen
     np.multiply(matrix, pair, out=matrix)
-    matrix *= -scale
     rho = np.abs(frozen)
     rho *= rho
-    matrix.reshape(-1)[:: len(matrix) + 1] += scale * (rho.sum(axis=0) @ pair)
-    return matrix
+    return matrix, scale * (rho.sum(axis=0) @ pair), scale
 
 
 def _dense_self_field(frozen, potential, grid, n_particles):
-    return frozen @ _dense_field(frozen, potential, grid, n_particles)
+    matrix, u_vals, scale = _dense_field_terms(frozen, potential, grid, n_particles)
+    matrix *= -scale
+    matrix.reshape(-1)[:: len(matrix) + 1] += u_vals
+    return frozen @ matrix
 
 
 def _dense_frozen_field(frozen, potential, grid, n_particles):
-    """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs."""
-    matrix = _dense_field(frozen, potential, grid, n_particles)
-    centres = matrix.diagonal().real
-    radii = np.abs(matrix).sum(axis=1)
-    radii -= np.abs(centres)
-    centre, radius, scale = _normalization((centres - radii).min(), (centres + radii).max())
-    matrix.reshape(-1)[:: len(matrix) + 1] -= centre
-    matrix *= scale
+    """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs.
+
+    The discs are read off V o (F^* F), whose diagonal is real and non-negative, so A
+    is formed in the one pass over the matrix that forms the field itself."""
+    matrix, u_vals, scale = _dense_field_terms(frozen, potential, grid, n_particles)
+    diagonal = matrix.diagonal().real
+    centres = u_vals - scale * diagonal
+    radii = scale * (np.abs(matrix).sum(axis=1) - diagonal)
+    centre, radius, factor = _normalization((centres - radii).min(), (centres + radii).max())
+    matrix *= -scale * factor
+    matrix.reshape(-1)[:: len(matrix) + 1] += factor * (u_vals - centre)
     return matrix.__rmatmul__, centre, radius
 
 
@@ -470,11 +475,9 @@ def run_hf(state, potential, dt, n_steps, snapshot_every=None):
 def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     """tr(-eps^2 Lap) omega + (1/2N) iint V [omega(x;x) omega(y;y) - |omega(x;y)|^2].
 
-    With Q(g) = h^d sum_x conj(g) (V * g), taken by Parseval from forward
-    transforms alone (`PowerLawPotential.pair_energy`), the pair terms are Q(rho),
-    rho = sum_j |f_j|^2, and sum_ij Q(conj(f_i) f_j) = sum_i Q(|f_i|^2) +
-    2 sum_{i<j} Q(conj(f_i) f_j).  One (N, M) buffer holds the orbital
-    transforms, then each row's pairs.
+    With Q(g) = h^d sum_x conj(g) (V * g) by Parseval (`PowerLawPotential.pair_energy`),
+    the pair terms are Q(rho), rho = sum_j |f_j|^2, and sum_ij Q(conj(f_i) f_j) =
+    sum_i Q(|f_i|^2) + 2 sum_{i<j} Q(conj(f_i) f_j), from one (N, M) buffer.
     """
     g = state.grid
     f = state.orbitals
@@ -511,3 +514,27 @@ def hs_distance_squared(a: SlaterState, b: SlaterState) -> float:
     off_a = fb - overlaps @ fa
     off_b = fa - overlaps.conj().T @ fb
     return float(a.grid.cell_volume * (np.vdot(off_a, off_a) + np.vdot(off_b, off_b)).real)
+
+
+def save_checkpoint(state: SlaterState, path) -> None:
+    """Binary orbital dump with grid/scaling header; round-trips bit-exactly."""
+    np.savez(
+        path,
+        dim=state.grid.dim,
+        m=state.grid.m,
+        length=state.grid.length,
+        n_particles=state.params.n_particles,
+        alpha=state.params.alpha,
+        epsilon=state.params.epsilon,
+        time=state.time,
+        orbitals=state.orbitals,
+    )
+
+
+def load_checkpoint(path) -> SlaterState:
+    data = np.load(path)
+    grid = Grid(int(data["dim"]), int(data["m"]), float(data["length"]))
+    params = ScaledParams(
+        int(data["n_particles"]), float(data["alpha"]), float(data["epsilon"])
+    )
+    return SlaterState(grid, data["orbitals"], params, float(data["time"]))

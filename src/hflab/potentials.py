@@ -200,12 +200,14 @@ class PowerLawPotential:
         return scipy.fft.ifftn(hat, axes=axes, overwrite_x=True)
 
     def pair_energy(self, values: np.ndarray) -> np.ndarray:
-        """h^d sum_x conj(f) (V * f) per leading row f of `values` (complex input is overwritten),
-        by Parseval h^d / M sum_k (h^d v_hat)(k) |f_hat(k)|^2: no inverse transform."""
-        g = self.grid
-        hat = scipy.fft.fftn(values, axes=tuple(range(-g.dim, 0)), overwrite_x=True)
-        power = [np.vdot(row, row * self._scaled_v_hat).real for row in hat]
-        return g.cell_volume / g.site_count * np.array(power)
+        """h^d sum_x conj(f) (V * f) per leading row f of `values`, by Parseval from forward
+        transforms alone: h^d / M sum_k (h^d v_hat)(k) |f_hat(k)|^2.  Overwrites complex input."""
+        hat = scipy.fft.fftn(values, axes=tuple(range(-self.grid.dim, 0)), overwrite_x=True)
+        squares = hat.view(float)  # real and imaginary parts, squared in place
+        np.square(squares, out=squares)
+        weights = np.repeat(self._scaled_v_hat.reshape(-1), 2)
+        power = squares.reshape(len(hat), -1) @ weights
+        return self.grid.cell_volume / self.grid.site_count * power
 
 
 def power_law_potential(grid: Grid, alpha: float) -> PowerLawPotential:

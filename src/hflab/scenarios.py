@@ -440,7 +440,8 @@ SCENARIOS = {
         scenario_hf_vs_exact, "three-body exact vs mean field, d=1, default M=16, alpha 0.5 fixed",
         {"n_particles": 3, "m": 16, "t_final": 0.5},
         "m length n_particles epsilon_override dt t_final"),
-    "fock-audit": Scenario(scenario_fock_audit, "second-quantization inequality audit", {}, "length"),
+    "fock-audit": Scenario(
+        scenario_fock_audit, "second-quantization inequality audit", {}, "length"),
     "fluctuation-ring": Scenario(
         scenario_fluctuation_ring, "fluctuation growth on a small ring", {"alpha": 0.5},
         "length alpha dt t_final"),
@@ -472,7 +473,7 @@ def build_config(scenario: str, seed: int | None = None,
     ignored = sorted(name for name in overrides or {} if name not in preset.honours.split()
                      and name != "seed" and getattr(cfg, name) != getattr(default, name))
     if ignored:
-        raise ValueError(f"{scenario} does not honour config fields {ignored}: the preset fixes them")
+        raise ValueError(f"{scenario} does not honour config fields {ignored}: fixed by the preset")
     return cfg
 
 

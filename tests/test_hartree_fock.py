@@ -10,12 +10,15 @@ from hflab import hartree_fock as hf
 from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
     SlaterState,
+    density,
     density_matrix,
     hf_energy,
     hf_step,
     hs_distance_squared,
+    load_checkpoint,
     loewdin_orthonormalize,
     run_hf,
+    save_checkpoint,
     slater_state,
 )
 from hflab.lattice import (
@@ -26,7 +29,7 @@ from hflab.states import fermi_ball, gaussian_packet, packet_slater, plane_wave,
 
 
 # References: the full mean field and generator, applied through the exchange the
-# step uses, the dense exchange kernel, the density and a checkpoint format.
+# step uses, and the dense exchange kernel.
 
 
 def apply_mean_field(block, frozen, u_vals, potential, n_particles):
@@ -66,36 +69,6 @@ def exchange_kernel(state: SlaterState, potential: PowerLawPotential) -> DenseOp
         v = np.minimum(dist ** (-potential.alpha), g.h ** (-potential.alpha))
     kernel = v * omega / state.params.n_particles
     return DenseOperator(g, kernel * g.cell_volume)
-
-
-def density(state: SlaterState) -> Field:
-    """rho(x) = omega(x;x) / N; integrates to one."""
-    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
-    return Field(state.grid, rho.astype(complex))
-
-
-def save_checkpoint(state: SlaterState, path) -> None:
-    """Binary orbital dump with grid/scaling header; round-trips bit-exactly."""
-    np.savez(
-        path,
-        dim=state.grid.dim,
-        m=state.grid.m,
-        length=state.grid.length,
-        n_particles=state.params.n_particles,
-        alpha=state.params.alpha,
-        epsilon=state.params.epsilon,
-        time=state.time,
-        orbitals=state.orbitals,
-    )
-
-
-def load_checkpoint(path) -> SlaterState:
-    data = np.load(path)
-    grid = Grid(int(data["dim"]), int(data["m"]), float(data["length"]))
-    params = ScaledParams(
-        int(data["n_particles"]), float(data["alpha"]), float(data["epsilon"])
-    )
-    return SlaterState(grid, data["orbitals"], params, float(data["time"]))
 
 
 def generator_energy(state: SlaterState, potential: PowerLawPotential) -> float:
@@ -867,32 +840,24 @@ def test_step_and_energy_stay_within_block_budget(monkeypatch):
         assert peak <= blocks * st.orbitals.nbytes
 
 
-def test_blas_products_accumulate_in_place(monkeypatch):
-    # every zgemm and zaxpy given an output writes into it: the result is that
-    # array (out.T for a (k, M) block) and no copy is made
-    accumulated = []
-
-    def in_place(name, output):
-        blas = getattr(hf, name)
-
-        def run(*args, **kwargs):
-            target = output(args, kwargs)
-            result = blas(*args, **kwargs)
-            if target is not None:
-                accumulated.append(name)
-                assert result.__array_interface__ == target.__array_interface__
-            return result
-
-        return run
-
-    monkeypatch.setattr(hf, "zgemm", in_place("zgemm", lambda a, kw: kw.get("c")))
-    monkeypatch.setattr(hf, "zaxpy", in_place("zaxpy", lambda a, kw: a[1]))
-    g = Grid(1, 256)
-    p = ScaledParams(4, 0.5)
-    hf_step(packet_slater(g, p), power_law_potential(g, 0.5), 1e-3)
-    # z -= K^T q / 2, two accumulations per application of A and one axpy per term
-    assert accumulated.count("zgemm") == 1 + 2 * 3
-    assert accumulated.count("zaxpy") == 3
+@pytest.mark.parametrize(
+    "dim,m,frozen_field", [(3, 16, hf._fft_frozen_field), (1, 128, hf._dense_frozen_field)],
+    ids=["fft", "dense"],
+)
+def test_normalized_field_allocates_only_its_image(dim, m, frozen_field):
+    # A b is written into the one block apply returns: no conjugate copy of b or
+    # of the basis, and no second block summed into it; u' b adds row scratch
+    g = Grid(dim, m)
+    p = ScaledParams(8, 1.0)
+    f = random_slater(g, p, np.random.default_rng(3)).orbitals.reshape(p.n_particles, -1)
+    apply, _, _ = frozen_field(f, power_law_potential(g, 1.0), g, p.n_particles)
+    tracemalloc.start()
+    try:
+        image = apply(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.shape == f.shape and peak < f.nbytes + 3 * f[0].nbytes
 
 
 def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
