@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from hflab.hartree_fock import SlaterState, hf_energy
+from hflab.hartree_fock import SlaterState, hf_energy, laplacian_trace, orbital_density
 from hflab.lattice import DenseOperator, Field, ScaledParams
 from hflab.potentials import PowerLawPotential
 from hflab.semiclassics import field_lp_norm
@@ -30,8 +30,7 @@ from hflab.semiclassics import field_lp_norm
 def charge_density(state) -> Field:
     """rho(x) = omega(x;x): integral equals the particle number."""
     if isinstance(state, SlaterState):
-        vals = np.sum(np.abs(state.orbitals) ** 2, axis=0)
-        return Field(state.grid, vals.astype(complex))
+        return Field(state.grid, orbital_density(state.orbitals).astype(complex))
     if isinstance(state, DenseOperator):
         g = state.grid
         vals = np.real(np.diag(state.matrix)) / g.cell_volume
@@ -43,12 +42,9 @@ def kinetic_trace(state, epsilon_scaled: bool) -> float:
     """tr(-eps^2 Lap) omega when scaled, tr(-Lap) omega otherwise."""
     if isinstance(state, SlaterState):
         g = state.grid
-        mult = g.momentum_squared()
-        if epsilon_scaled:
-            mult = state.params.epsilon**2 * mult
-        axes = tuple(range(1, g.dim + 1))
-        hat = scipy.fft.fftn(state.orbitals, axes=axes)
-        return float(g.cell_volume * np.sum(mult[None, ...] * np.abs(hat) ** 2) / g.site_count)
+        hat = scipy.fft.fftn(state.orbitals, axes=tuple(range(1, g.dim + 1)))
+        plain = laplacian_trace(g, hat)
+        return float(state.params.epsilon**2 * plain if epsilon_scaled else plain)
     if isinstance(state, DenseOperator):
         g = state.grid
         mult = g.momentum_squared().reshape(-1)
@@ -175,8 +171,8 @@ def energy_report(state: SlaterState, potential: PowerLawPotential) -> EnergyRep
     l1 = field_lp_norm(rho, 1.0)
     l53 = field_lp_norm(rho, 5.0 / 3.0)
     lq = field_lp_norm(rho, hls_index(potential.alpha))
-    kinetic_plain = kinetic_trace(state, epsilon_scaled=False)
-    kinetic_scaled = kinetic_trace(state, epsilon_scaled=True)
+    kinetic_plain = kinetic_trace(state, epsilon_scaled=False)  # one transform serves both
+    kinetic_scaled = p.epsilon**2 * kinetic_plain
     pair = pair_energy(rho, potential, p.n_particles)
     hls_ratio = pair / (lq**2 / p.n_particles) if lq > 0 else np.inf
     links = _chain_links(potential.alpha, p.n_particles, l1, l53, lq)

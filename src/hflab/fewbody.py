@@ -121,16 +121,7 @@ def pair_interaction_diagonal(grid: Grid, n: int, potential: PowerLawPotential,
                               coupling: float) -> np.ndarray:
     """coupling * sum_{i<j} V(x_i - x_j) as a diagonal array on the product grid."""
     m = grid.m
-    idx = np.arange(m)
-    # V(x_i - x_j) on the doubled grid, indexed by per-axis index differences
-    index_arrays = []
-    for axis in range(grid.dim):
-        ai = [1] * (2 * grid.dim)
-        ai[axis] = m
-        aj = [1] * (2 * grid.dim)
-        aj[grid.dim + axis] = m
-        index_arrays.append((idx.reshape(ai) - idx.reshape(aj)) % m)
-    pair_v = potential.values[tuple(index_arrays)]
+    pair_v = potential.pair_table  # V(x_i - x_j), x_i on the first d axes
     out = np.zeros(grid.shape * n)
     for i in range(n):
         for j in range(i + 1, n):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 from hflab.hartree_fock import density_matrix, run_hf, slater_state
-from hflab.lattice import DENSE_SIDE_CAP, Grid, ScaledParams
+from hflab.lattice import Grid, ScaledParams
 from hflab.potentials import PowerLawPotential, power_law_potential
 from hflab.states import lowest_modes, plane_wave
 
@@ -39,8 +39,34 @@ class FockSpace:
     def dim(self) -> int:
         return 2**self.n_modes
 
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only occupation table: bits[n, i] = 1 if mode i is occupied in state n."""
+        out = (np.arange(self.dim)[:, None] >> np.arange(self.n_modes)) & 1
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def annihilators(self) -> sparse.csr_matrix:
+        """The stack A of shape (m 2^m, 2^m) whose block i is a_i, built once.
+
+        a_i maps |n> to (-1)^(occupied modes below i) |n - e_i> where i is
+        occupied; the parity comes from cumsum(bits) - bits.  The entries are
+        real, so A^* = A^T.
+        """
+        bits = self.bits
+        sign = 1 - 2 * ((np.cumsum(bits, axis=1) - bits) % 2)
+        state, mode = np.nonzero(bits)
+        stack = sparse.csr_matrix(
+            (sign[state, mode].astype(float), (mode * self.dim + (state ^ (1 << mode)), state)),
+            shape=(self.n_modes * self.dim, self.dim),
+        )
+        for array in (stack.data, stack.indices, stack.indptr):
+            array.flags.writeable = False
+        return stack
+
     def occupations(self) -> np.ndarray:
-        return np.array([int(n).bit_count() for n in range(self.dim)])
+        return self.bits.sum(axis=1)
 
     def vacuum(self) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
@@ -48,28 +74,14 @@ class FockSpace:
         return psi
 
     def sector_masks(self, n_particles: int) -> np.ndarray:
-        occ = self.occupations()
-        return np.nonzero(occ == n_particles)[0]
-
-
-def _jw_sign(mask: int, mode: int) -> int:
-    return -1 if (int(mask) & ((1 << mode) - 1)).bit_count() % 2 else 1
+        return np.nonzero(self.occupations() == n_particles)[0]
 
 
 def annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
-    """Sparse matrix of a_mode in the occupation basis."""
+    """Sparse matrix of a_mode in the occupation basis: block `mode` of the stack."""
     if not 0 <= mode < space.n_modes:
         raise ValueError(f"mode {mode} out of range")
-    rows, cols, vals = [], [], []
-    bit = 1 << mode
-    for n in range(space.dim):
-        if n & bit:
-            rows.append(n ^ bit)
-            cols.append(n)
-            vals.append(float(_jw_sign(n, mode)))
-    return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex
-    )
+    return space.annihilators[mode * space.dim:(mode + 1) * space.dim]
 
 
 def all_annihilators(space: FockSpace) -> list:
@@ -77,77 +89,66 @@ def all_annihilators(space: FockSpace) -> list:
 
 
 def creator(space: FockSpace, mode: int) -> sparse.csr_matrix:
-    return annihilator(space, mode).conj().T.tocsr()
+    return annihilator(space, mode).T.tocsr()
 
 
-def annihilate_orbital(space: FockSpace, g: np.ndarray, ops=None) -> sparse.csr_matrix:
-    """a(g) = sum_i conj(g_i) a_i (antilinear in g)."""
-    ops = ops or all_annihilators(space)
-    g = np.asarray(g, dtype=complex)
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.n_modes):
-        if g[i] != 0:
-            out = out + np.conj(g[i]) * ops[i]
-    return out
+def _creators(space: FockSpace) -> sparse.csr_matrix:
+    """The stack whose block i is a_i^*, each block of the annihilator stack transposed."""
+    stack = space.annihilators.tocoo()
+    mode, target = np.divmod(stack.row, space.dim)
+    return sparse.csr_matrix((stack.data, (mode * space.dim + stack.col, target)), stack.shape)
 
 
-def create_orbital(space: FockSpace, f: np.ndarray, ops=None) -> sparse.csr_matrix:
+def _quadratic(space: FockSpace, one_body, left, right) -> sparse.csr_matrix:
+    """left^T (O x I) right = sum_ij O_ij left_i^T right_j for two stacks of m blocks."""
+    one_body = np.asarray(one_body, dtype=complex)
+    if one_body.shape != (space.n_modes, space.n_modes):
+        raise ValueError("one-body matrix has the wrong shape")
+    kron = sparse.kron(one_body, sparse.identity(space.dim), format="csr")
+    return (left.T @ (kron @ right)).tocsr()
+
+
+def annihilate_orbital(space: FockSpace, g: np.ndarray) -> sparse.csr_matrix:
+    """a(g) = sum_i conj(g_i) a_i = (conj(g)^T x I) A (antilinear in g)."""
+    row = np.conj(np.asarray(g, dtype=complex))[None, :]
+    return sparse.kron(row, sparse.identity(space.dim), format="csr") @ space.annihilators
+
+
+def create_orbital(space: FockSpace, f: np.ndarray) -> sparse.csr_matrix:
     """a*(f) = sum_i f_i a_i^*; the adjoint of a(f)."""
-    return annihilate_orbital(space, f, ops).conj().T.tocsr()
+    return annihilate_orbital(space, f).conj().T.tocsr()
 
 
 def number_operator(space: FockSpace) -> sparse.csr_matrix:
     return sparse.diags(space.occupations().astype(float)).tocsr()
 
 
-def dgamma(space: FockSpace, one_body: np.ndarray, ops=None) -> sparse.csr_matrix:
-    """Second quantization sum_ij O_ij a_i^* a_j of a mode-space operator."""
-    one_body = np.asarray(one_body, dtype=complex)
-    if one_body.shape != (space.n_modes, space.n_modes):
-        raise ValueError("one-body matrix has the wrong shape")
-    ops = ops or all_annihilators(space)
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.n_modes):
-        ai_dag = ops[i].conj().T
-        for j in range(space.n_modes):
-            if one_body[i, j] != 0:
-                out = out + one_body[i, j] * (ai_dag @ ops[j])
-    return out
+def dgamma(space: FockSpace, one_body: np.ndarray) -> sparse.csr_matrix:
+    """Second quantization sum_ij O_ij a_i^* a_j = A^* (O x I) A of a mode-space operator."""
+    return _quadratic(space, one_body, space.annihilators, space.annihilators)
 
 
-def pair_operator(space: FockSpace, one_body: np.ndarray, kind: str = "annihilation",
-                  ops=None) -> sparse.csr_matrix:
+def pair_operator(space: FockSpace, one_body: np.ndarray,
+                  kind: str = "annihilation") -> sparse.csr_matrix:
     """sum_ij O_ij a_i a_j (kind='annihilation') or a_i^* a_j^* (kind='creation')."""
-    one_body = np.asarray(one_body, dtype=complex)
-    if one_body.shape != (space.n_modes, space.n_modes):
-        raise ValueError("one-body matrix has the wrong shape")
     if kind not in ("annihilation", "creation"):
         raise ValueError("kind must be 'annihilation' or 'creation'")
-    ops = ops or all_annihilators(space)
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.n_modes):
-        left = ops[i] if kind == "annihilation" else ops[i].conj().T
-        for j in range(space.n_modes):
-            if one_body[i, j] != 0:
-                right = ops[j] if kind == "annihilation" else ops[j].conj().T
-                out = out + one_body[i, j] * (left @ right)
-    return out
+    ann, cre = space.annihilators, _creators(space)
+    # the block transposes of a_i^* are the a_i
+    left, right = (cre, ann) if kind == "annihilation" else (ann, cre)
+    return _quadratic(space, one_body, left, right)
 
 
-def gamma1(space: FockSpace, psi: np.ndarray, ops=None) -> np.ndarray:
+def gamma1(space: FockSpace, psi: np.ndarray) -> np.ndarray:
     """One-particle reduced density gamma_ij = <psi, a_j^* a_i psi>."""
-    ops = ops or all_annihilators(space)
-    rows = np.array([op @ psi for op in ops])
+    rows = (space.annihilators @ psi).reshape(space.n_modes, space.dim)
     return rows @ rows.conj().T
 
 
 def fluctuation_number(gamma: np.ndarray, omega: np.ndarray) -> float:
     """tr[(1-omega) gamma] + tr[omega (1-gamma)] = tr gamma + tr omega - 2 Re tr(omega gamma)."""
-    gamma = np.asarray(gamma)
-    omega = np.asarray(omega)
-    return float(
-        np.trace(gamma).real + np.trace(omega).real - 2.0 * np.trace(omega @ gamma).real
-    )
+    gamma, omega = np.asarray(gamma), np.asarray(omega)
+    return float(np.trace(gamma).real + np.trace(omega).real - 2.0 * np.trace(omega @ gamma).real)
 
 
 def slater_vector(space: FockSpace, occupied) -> np.ndarray:
@@ -156,10 +157,7 @@ def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     if occupied and not 0 <= occupied[-1] < space.n_modes:
         raise ValueError("occupied mode out of range")
     psi = np.zeros(space.dim, dtype=complex)
-    mask = 0
-    for s in occupied:
-        mask |= 1 << s
-    psi[mask] = 1.0
+    psi[sum(1 << s for s in occupied)] = 1.0
     return psi
 
 
@@ -173,20 +171,13 @@ def particle_hole(space: FockSpace, occupied) -> sparse.csr_matrix:
     occupied = sorted(set(int(s) for s in occupied))
     if occupied and not 0 <= occupied[-1] < space.n_modes:
         raise ValueError("occupied mode out of range")
-    s_mask = 0
-    for s in occupied:
-        s_mask |= 1 << s
-    below = np.array(
-        [(s_mask & ((1 << j) - 1)).bit_count() for j in range(space.n_modes)]
-    )
-    rows, cols, vals = [], [], []
-    for n in range(space.dim):
-        parity = sum(below[j] for j in range(space.n_modes) if n >> j & 1) % 2
-        rows.append(n ^ s_mask)
-        cols.append(n)
-        vals.append(-1.0 if parity else 1.0)
+    s_mask = sum(1 << s for s in occupied)
+    s_bits = space.bits[s_mask]
+    parity = (space.bits @ (np.cumsum(s_bits) - s_bits)) % 2
+    states = np.arange(space.dim)
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex
+        ((1 - 2 * parity).astype(complex), (states ^ s_mask, states)),
+        shape=(space.dim, space.dim),
     )
 
 
@@ -213,22 +204,11 @@ def lift_unitary(space: FockSpace, w: np.ndarray) -> np.ndarray:
 
 
 def second_quantized_hamiltonian(space: FockSpace, kinetic: np.ndarray,
-                                 pair_potential: np.ndarray, coupling: float,
-                                 ops=None) -> sparse.csr_matrix:
+                                 pair_potential: np.ndarray, coupling: float) -> sparse.csr_matrix:
     """dGamma(kinetic) + coupling * sum_{i<j} V_pair[i,j] n_i n_j (number conserving)."""
-    pair_potential = np.asarray(pair_potential, dtype=float)
-    space_dim = space.dim
-    ops = ops or all_annihilators(space)
-    ham = dgamma(space, kinetic, ops)
-    diag = np.zeros(space_dim)
-    for n in range(space_dim):
-        occ = [j for j in range(space.n_modes) if n >> j & 1]
-        e = 0.0
-        for a in range(len(occ)):
-            for b in range(a + 1, len(occ)):
-                e += pair_potential[occ[a], occ[b]]
-        diag[n] = coupling * e
-    return (ham + sparse.diags(diag)).tocsr()
+    pair = np.triu(np.asarray(pair_potential, dtype=float), 1)
+    diag = coupling * np.einsum("ni,ij,nj->n", space.bits, pair, space.bits)
+    return (dgamma(space, kinetic) + sparse.diags(diag)).tocsr()
 
 
 def ring_hamiltonian(grid: Grid, params: ScaledParams,
@@ -245,30 +225,21 @@ def ring_hamiltonian(grid: Grid, params: ScaledParams,
 
 def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
                  n_steps: int, epsilon: float, snapshot_every: int | None = None):
-    """exp(-i H t / eps) psi sampled along the way.
+    """exp(-i H t / eps) psi at every `snapshot_every` steps and at the end.
 
-    Up to DENSE_SIDE_CAP basis states one dense step matrix is applied per
-    step; beyond it one expm_multiply goes straight to each report time.
+    One expm_multiply (Al-Mohy & Higham) goes straight from one report time to
+    the next; scipy.sparse.linalg is imported here, not when hflab loads.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     if snapshot_every is None:
         snapshot_every = max(1, n_steps)
-    dim = psi.shape[0]
     snaps = [(0.0, psi.copy())]
-    if dim <= DENSE_SIDE_CAP:
-        u_dt = expm((-1j * dt / epsilon) * ham.toarray())
-        current = psi.copy()
-        for step in range(1, n_steps + 1):
-            current = u_dt @ current
-            if step % snapshot_every == 0 or step == n_steps:
-                snaps.append((step * dt, current.copy()))
-    else:
-        from scipy.sparse.linalg import expm_multiply
-
-        current = psi
-        for done in range(0, n_steps, snapshot_every):
-            step = min(done + snapshot_every, n_steps)
-            current = expm_multiply((-1j * (step - done) * dt / epsilon) * ham, current)
-            snaps.append((step * dt, current))
+    current = psi
+    for done in range(0, n_steps, snapshot_every):
+        step = min(done + snapshot_every, n_steps)
+        current = expm_multiply((-1j * (step - done) * dt / epsilon) * ham, current)
+        snaps.append((step * dt, current))
     return snaps
 
 
@@ -291,16 +262,13 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     if zero_potential:
         potential = replace(potential, values=np.zeros(grid.shape))
     space = FockSpace(m_sites)
-    ops = all_annihilators(space)
     ham = ring_hamiltonian(grid, params, potential)
-    orbitals = np.array(
-        [plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)]
-    )
+    orbitals = np.array([plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)])
     initial = slater_state(grid, orbitals, params)
     modes = np.sqrt(grid.cell_volume) * orbitals.reshape(n_particles, -1)
     psi = space.vacuum()
     for j in range(n_particles - 1, -1, -1):
-        psi = create_orbital(space, modes[j], ops) @ psi
+        psi = create_orbital(space, modes[j]) @ psi
     n_steps = int(round(t_final / dt))
     stride = max(1, n_steps // n_snapshots)
     fock_snaps = evolve_exact(ham, psi, dt, n_steps, params.epsilon, stride)
@@ -310,7 +278,7 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     identity_err = 0.0
     ref = particle_hole(space, range(n_particles))
     for (t, psi_t), (_, hf_t) in zip(fock_snaps, hf_snaps):
-        gamma = gamma1(space, psi_t, ops)
+        gamma = gamma1(space, psi_t)
         omega = density_matrix(hf_t).matrix
         n_val = fluctuation_number(gamma, omega)
         # direct expectation through the transported particle-hole unitary
@@ -320,10 +288,9 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         chi = lift @ (ref.T @ (lift.conj().T @ psi_t))
         direct = float(np.real(np.vdot(chi, nop @ chi)))
         identity_err = max(identity_err, abs(direct - n_val))
-        diff = gamma - omega
         times.append(t)
         series.append(n_val)
-        hs_list.append(float(np.linalg.norm(diff)))
+        hs_list.append(float(np.linalg.norm(gamma - omega)))
     # reference growth scale N^((3 - 2 alpha - 6 delta)/(3 - alpha)) at delta = 0.1;
     # the measured prefactor is reported, never asserted
     delta = 0.1
@@ -342,9 +309,7 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
 def _extend_unitary(columns: np.ndarray) -> np.ndarray:
     """Unitary whose first k columns are the given orthonormal columns."""
     m, k = columns.shape
-    q, _ = np.linalg.qr(
-        np.concatenate([columns, np.eye(m, dtype=complex)], axis=1)
-    )
+    q, _ = np.linalg.qr(np.concatenate([columns, np.eye(m, dtype=complex)], axis=1))
     out = q[:, :m]
     # make the first k columns exactly the inputs (QR may rotate phases)
     out[:, :k] = columns
@@ -367,26 +332,15 @@ class BoundRecord:
     note: str = ""
 
 
-def _random_state(space: FockSpace, rng) -> np.ndarray:
-    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return psi / np.linalg.norm(psi)
-
-
 def _sector_annihilators(space: FockSpace) -> list:
     """Blocks A[n][i] = a_i restricted to sector n -> sector n - 1, bases in bitmask order."""
-    m = space.n_modes
-    occ = space.occupations()
-    sizes = np.bincount(occ, minlength=m + 1)
-    rank = np.empty(space.dim, dtype=int)
-    for n in range(m + 1):
-        rank[space.sector_masks(n)] = np.arange(sizes[n])
-    blocks = [None] + [np.zeros((m, sizes[n - 1], sizes[n])) for n in range(1, m + 1)]
-    for i, op in enumerate(all_annihilators(space)):
-        coo = op.tocoo()
-        n_col = occ[coo.col]
-        for n in range(1, m + 1):
-            sel = n_col == n
-            blocks[n][i, rank[coo.row[sel]], rank[coo.col[sel]]] = coo.data[sel].real
+    m, dim = space.n_modes, space.dim
+    masks = [space.sector_masks(n) for n in range(m + 1)]
+    blocks = [None]
+    for n in range(1, m + 1):
+        rows = (np.arange(m)[:, None] * dim + masks[n - 1]).reshape(-1)
+        block = space.annihilators[rows][:, masks[n]].toarray()
+        blocks.append(block.reshape(m, len(masks[n - 1]), len(masks[n])))
     return blocks
 
 
@@ -400,7 +354,7 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
     so its worst violation is reported separately as a sharpness note.
 
     Every trial's (O, psi) is drawn first; the operators then act on all
-    trials at once through the dense annihilator stack A (m, 2^m, 2^m):
+    trials at once through the dense annihilator stack A (m 2^m, 2^m):
     dGamma(O) psi = sum_i A_i^* (sum_j O_ij A_j psi), the annihilation pair
     sum_i A_i (sum_j O_ij A_j psi) and the creation pair
     sum_i A_i^* (sum_j O_ij A_j^* psi), each a pair of matrix products.
@@ -419,7 +373,8 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
             modes = rng.integers(0, m, size=2)
             psi[trial, 0 if trial % 20 == 0 else 1 << int(modes[0])] = 1.0
         else:
-            psi[trial] = _random_state(space, rng)
+            psi[trial] = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi[trial] /= np.linalg.norm(psi[trial])
 
     o_psd = o @ o.conj().transpose(0, 2, 1)
     o_psd /= np.linalg.norm(o_psd, 2, axis=(1, 2))[:, None, None]
@@ -427,11 +382,9 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
     op_norm, tr_abs = sing[:, 0], np.sum(sing, axis=1)
     hs = np.linalg.norm(o, axis=(1, 2))
 
-    # a_stack[(i, r), c] = (A_i)_rc and a_dag_stack[(i, r), c] = (A_i^*)_rc;
-    # the Jordan-Wigner entries are real, so A_i^* is the transpose
-    a = np.stack([op.toarray().real for op in all_annihilators(space)])
-    a_stack = a.reshape(m * dim, dim)
-    a_dag_stack = a.transpose(0, 2, 1).reshape(m * dim, dim)
+    # a_stack[(i, r), c] = (A_i)_rc and a_dag_stack[(i, r), c] = (A_i^*)_rc
+    a_stack = space.annihilators.toarray()
+    a_dag_stack = _creators(space).toarray()
     ann = (psi @ a_stack.T).reshape(trials, m, dim)  # A_j psi
     cre = (psi @ a_dag_stack.T).reshape(trials, m, dim)  # A_j^* psi
     inner = (o @ ann).reshape(trials, m * dim)
@@ -513,9 +466,8 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
         # mono[i, j] = a_i a_j from sector n to n - 2
         mono = np.matmul(ann[n - 1][:, None], ann[n][None, :])
         rows, cols = mono.shape[2:]
-        blocks = (o.reshape(trials, m * m) @ mono.reshape(m * m, rows * cols)).reshape(
-            trials, rows, cols
-        )
+        blocks = o.reshape(trials, m * m) @ mono.reshape(m * m, rows * cols)
+        blocks = blocks.reshape(trials, rows, cols)
         b_norm = np.maximum(b_norm, np.linalg.norm(blocks, 2, axis=(1, 2)))
     tr_o = np.sum(np.linalg.svd(o, compute_uv=False), axis=1)
     tr_comm = np.sum(np.linalg.svd(comm, compute_uv=False), axis=1)

@@ -133,15 +133,27 @@ def loewdin_orthonormalize(grid: Grid, orbitals: np.ndarray) -> np.ndarray:
     return (_loewdin_transform(_gram(flat, grid.cell_volume)) @ flat).reshape(block.shape)
 
 
+def orbital_density(orbitals: np.ndarray) -> np.ndarray:
+    """rho = sum_j |f_j|^2 over the rows of an orbital block: omega(x;x), of integral N."""
+    rho = np.abs(orbitals)
+    rho *= rho
+    return rho.sum(axis=0)
+
+
+def laplacian_trace(grid: Grid, hat: np.ndarray) -> float:
+    """tr(-Lap) omega = h^d / M sum_j sum_k |k|^2 |f^_j(k)|^2, from the orbitals' transforms."""
+    k2 = grid.momentum_squared()
+    return grid.cell_volume / grid.site_count * sum(np.vdot(row, row * k2).real for row in hat)
+
+
 def density(state: SlaterState) -> Field:
     """rho(x) = omega(x;x) / N; integrates to one."""
-    rho = np.sum(np.abs(state.orbitals) ** 2, axis=0) / state.params.n_particles
+    rho = orbital_density(state.orbitals) / state.params.n_particles
     return Field(state.grid, rho.astype(complex))
 
 
 def _direct_potential(orbitals, potential, n_particles):
-    rho = np.sum(np.abs(orbitals) ** 2, axis=0) / n_particles
-    return potential.convolve(rho)
+    return potential.convolve(orbital_density(orbitals) / n_particles)
 
 
 def _exchange(block, frozen, potential, n_particles):
@@ -369,9 +381,7 @@ def _dense_field_terms(frozen, potential, grid, n_particles):
     scale = grid.cell_volume / n_particles
     matrix = frozen.conj().T @ frozen
     np.multiply(matrix, pair, out=matrix)
-    rho = np.abs(frozen)
-    rho *= rho
-    return matrix, scale * (rho.sum(axis=0) @ pair), scale
+    return matrix, scale * (orbital_density(frozen) @ pair), scale
 
 
 def _dense_self_field(frozen, potential, grid, n_particles):
@@ -482,18 +492,14 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     g = state.grid
     f = state.orbitals
     n = len(f)
+    direct = potential.pair_energy(orbital_density(f)[None])[0]
     buf = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
-    k2 = state.params.epsilon**2 * g.momentum_squared()
-    kinetic = sum(np.vdot(row, row * k2).real for row in buf)
-    rho = np.zeros(g.shape)
+    kinetic = state.params.epsilon**2 * laplacian_trace(g, buf)
     exchange = 0.0
     for i in range(n):
-        pair = np.multiply(f[i].conj(), f[i:], out=buf[: n - i])
-        rho += pair[0].real
-        energies = potential.pair_energy(pair)
+        energies = potential.pair_energy(np.multiply(f[i].conj(), f[i:], out=buf[: n - i]))
         exchange += 2.0 * energies.sum() - energies[0]
-    direct = potential.pair_energy(rho[None])[0]
-    return float(g.cell_volume * kinetic / g.site_count + 0.5 * (direct - exchange) / n)
+    return float(kinetic + 0.5 * (direct - exchange) / n)
 
 
 def density_matrix(state: SlaterState) -> DenseOperator:

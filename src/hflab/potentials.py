@@ -160,23 +160,25 @@ class PowerLawPotential:
         return scipy.fft.fftn(self.values).real
 
     @cached_property
-    def pair_matrix(self) -> np.ndarray:
-        """Dense V(x - y) over all site pairs (flat site order), computed once.
+    def pair_table(self) -> np.ndarray:
+        """V(x - y) over all site pairs as a read-only (m,) * 2d array, computed once.
 
         An exact gather of `values` at (x - y) mod m on each axis, so it holds
-        the very same numbers; the side is capped like any dense operator.
+        the very same numbers; axes 0..d-1 index x and axes d..2d-1 index y.
         """
+        g = self.grid
+        mesh = np.ix_(*[np.arange(g.m)] * (2 * g.dim))
+        table = self.values[tuple((mesh[a] - mesh[g.dim + a]) % g.m for a in range(g.dim))]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """`pair_table` as a dense M x M matrix (flat site order); the side is capped."""
         g = self.grid
         if g.site_count > DENSE_SIDE_CAP:
             raise ValueError(f"dense side {g.site_count} exceeds cap {DENSE_SIDE_CAP}")
-        idx = np.arange(g.m)
-        diff = (idx[:, None] - idx[None, :]) % g.m
-        gather = []
-        for axis in range(g.dim):
-            shape = [1] * (2 * g.dim)
-            shape[axis] = shape[g.dim + axis] = g.m
-            gather.append(diff.reshape(shape))
-        return self.values[tuple(gather)].reshape(g.site_count, g.site_count)
+        return self.pair_table.reshape(g.site_count, g.site_count)
 
     @cached_property
     def _scaled_v_hat(self) -> np.ndarray:

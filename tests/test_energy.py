@@ -209,3 +209,34 @@ def test_csv_row_shape():
     row = report_to_csv_row(report)
     assert len(row) == len(ENERGY_CSV_HEADER.split(","))
     assert all(isinstance(cell, float) for cell in row)
+
+
+def test_energy_report_transforms_the_orbitals_once(monkeypatch):
+    import scipy.fft
+
+    g = Grid(3, 8)
+    p = ScaledParams(4, 0.5)
+    st = random_slater(g, p, np.random.default_rng(9))
+    shapes = []
+    real = scipy.fft.fftn
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", spy)
+    rep = energy_report(st, power_law_potential(g, 0.5))
+    assert shapes.count(st.orbitals.shape) == 1
+    assert rep.kinetic_scaled == pytest.approx(p.epsilon**2 * rep.kinetic_plain, rel=1e-15)
+
+
+def test_hf_energy_and_kinetic_trace_share_one_kinetic_term():
+    # without interaction the HF energy is its kinetic term, the same bits as kinetic_trace
+    import dataclasses
+
+    from hflab.hartree_fock import hf_energy
+
+    for g in (Grid(1, 32), Grid(3, 8)):
+        st = random_slater(g, ScaledParams(3, 0.5), np.random.default_rng(2))
+        free = dataclasses.replace(power_law_potential(g, 0.5), values=np.zeros(g.shape))
+        assert hf_energy(st, free) == kinetic_trace(st, True)

@@ -268,3 +268,15 @@ def test_probe_row_times_accumulate_per_step():
             expect.append(t)
     # bit for bit: 10 * 1e-3 summed is 0.010000000000000002, not 0.01
     assert [r.time for r in rows] == expect
+
+
+def test_pair_table_serves_nbody_grids_past_the_dense_cap():
+    # 1156 sites: past the dense M x M cap, within the N = 2 size cap
+    g = Grid(2, 34)
+    pot = power_law_potential(g, 0.5)
+    with pytest.raises(ValueError):
+        pot.pair_matrix
+    diag = pair_interaction_diagonal(g, 2, pot, 0.5)
+    assert not pot.pair_table.flags.writeable
+    for x, y in [((5, 30), (31, 2)), ((0, 0), (0, 0)), ((33, 1), (1, 33))]:
+        assert diag[x + y] == 0.5 * pot.values[(x[0] - y[0]) % 34, (x[1] - y[1]) % 34]

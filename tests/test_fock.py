@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from hflab.fock import (
@@ -71,14 +72,13 @@ def test_dgamma_identity_is_number_operator():
 
 def test_dgamma_expectation_equals_density_pairing():
     sp = FockSpace(5)
-    ops = all_annihilators(sp)
     rng = np.random.default_rng(0)
     for _ in range(50):
         o = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         psi /= np.linalg.norm(psi)
-        lhs = np.vdot(psi, dgamma(sp, o, ops) @ psi)
-        gam = gamma1(sp, psi, ops)
+        lhs = np.vdot(psi, dgamma(sp, o) @ psi)
+        gam = gamma1(sp, psi)
         assert abs(lhs - np.trace(o @ gam)) < 1e-10
 
 
@@ -306,7 +306,6 @@ def test_fluctuation_number_basics():
 
 def test_fluctuation_formula_vs_fock_expectation():
     sp = FockSpace(6)
-    ops = all_annihilators(sp)
     rng = np.random.default_rng(7)
     nop_diag = sp.occupations().astype(float)
     r_base = particle_hole(sp, [0, 1]).toarray()
@@ -319,7 +318,7 @@ def test_fluctuation_formula_vs_fock_expectation():
         psi /= np.linalg.norm(psi)
         chi = r.conj().T @ psi
         direct = float(np.real(np.vdot(chi, nop_diag * chi)))
-        formula = fluctuation_number(gamma1(sp, psi, ops), omega)
+        formula = fluctuation_number(gamma1(sp, psi), omega)
         assert abs(direct - formula) < 1e-10
 
 
@@ -329,13 +328,12 @@ def test_fluctuation_after_exact_evolution():
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     space = FockSpace(6)
-    ops = all_annihilators(space)
     ham = ring_hamiltonian(g, p, pot)
     psi0 = slater_vector(space, [0, 3])
     snaps = evolve_exact(ham, psi0, 0.05, 10, p.epsilon)
     _, psi_t = snaps[-1]
     assert np.linalg.norm(psi_t) == pytest.approx(1.0, abs=1e-9)
-    gam = gamma1(space, psi_t, ops)
+    gam = gamma1(space, psi_t)
     omega = np.diag([1.0, 0, 0, 1.0, 0, 0]).astype(complex)
     r = particle_hole(space, [0, 3]).toarray()
     chi = r.conj().T @ psi_t
@@ -388,7 +386,6 @@ BOUND_IDS = [
 def _bound_audit_reference(n_modes, trials, seed):
     """Per-trial audit loop with the sparse dgamma/pair_operator as operators."""
     space = FockSpace(n_modes)
-    ops = all_annihilators(space)
     rng = np.random.default_rng(seed)
     occ = space.occupations().astype(float)
     slacks = dict.fromkeys(BOUND_IDS, -np.inf)
@@ -408,10 +405,10 @@ def _bound_audit_reference(n_modes, trials, seed):
         op_norm = np.linalg.norm(o, 2)
         hs = np.linalg.norm(o)
         tr_abs = np.sum(np.linalg.svd(o, compute_uv=False))
-        dg = dgamma(space, o, ops) @ psi
-        dg_psd = dgamma(space, o_psd, ops) @ psi
-        pa = pair_operator(space, o, "annihilation", ops) @ psi
-        pc = pair_operator(space, o, "creation", ops) @ psi
+        dg = dgamma(space, o) @ psi
+        dg_psd = dgamma(space, o_psd) @ psi
+        pa = pair_operator(space, o, "annihilation") @ psi
+        pc = pair_operator(space, o, "creation") @ psi
         n_exp = np.real(np.vdot(psi, occ * psi))
         sqrt_n = np.linalg.norm(np.sqrt(occ) * psi)
         values = {
@@ -481,7 +478,8 @@ def test_pair_bound_audit_matches_dense_reference(m):
 def test_sector_annihilators_reassemble_dense():
     sp = FockSpace(5)
     blocks = _sector_annihilators(sp)
-    for i, op in enumerate(all_annihilators(sp)):
+    for i in range(5):
+        op = _loop_annihilator(sp, i)
         dense = np.zeros((sp.dim, sp.dim))
         for n in range(1, 6):
             dense[np.ix_(sp.sector_masks(n - 1), sp.sector_masks(n))] = blocks[n][i]
@@ -512,10 +510,8 @@ def test_exact_evolution_matches_dense_expm():
     assert np.max(np.abs(psi_t - direct)) < 1e-9
 
 
-def test_exact_evolution_sparse_branch_one_call_per_report(monkeypatch):
+def test_exact_evolution_one_expm_multiply_per_report(monkeypatch):
     import scipy.sparse.linalg
-
-    from hflab import fock
 
     calls = []
     real = scipy.sparse.linalg.expm_multiply
@@ -524,7 +520,7 @@ def test_exact_evolution_sparse_branch_one_call_per_report(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fock, "DENSE_SIDE_CAP", 32)  # the 64-state ring goes sparse
+    # evolve_exact imports expm_multiply from scipy.sparse.linalg when it runs
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
@@ -536,3 +532,93 @@ def test_exact_evolution_sparse_branch_one_call_per_report(monkeypatch):
     for t, psi_t in snaps:
         direct = expm(-1j * t / p.epsilon * ham.toarray()) @ psi0
         assert np.max(np.abs(psi_t - direct)) < 1e-9
+
+
+# The basis-state loops the stack and the occupation table replaced, kept as
+# references: each entry is built one state at a time from its bitmask.
+
+
+def _loop_annihilator(space, mode):
+    rows, cols, vals = [], [], []
+    bit = 1 << mode
+    for n in range(space.dim):
+        if n & bit:
+            rows.append(n ^ bit)
+            cols.append(n)
+            vals.append(-1.0 if (n & (bit - 1)).bit_count() % 2 else 1.0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+
+
+def _loop_particle_hole(space, occupied):
+    s_mask = sum(1 << s for s in sorted(set(occupied)))
+    below = [(s_mask & ((1 << j) - 1)).bit_count() for j in range(space.n_modes)]
+    rows, cols, vals = [], [], []
+    for n in range(space.dim):
+        parity = sum(below[j] for j in range(space.n_modes) if n >> j & 1) % 2
+        rows.append(n ^ s_mask)
+        cols.append(n)
+        vals.append(-1.0 if parity else 1.0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+
+
+def _loop_quadratic(space, one_body, kind):
+    """sum_ij O_ij x_i y_j as m^2 sparse products of the loop annihilators."""
+    ops = [_loop_annihilator(space, i) for i in range(space.n_modes)]
+    dag = [op.conj().T for op in ops]
+    left, right = {"dgamma": (dag, ops), "annihilation": (ops, ops), "creation": (dag, dag)}[kind]
+    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
+    for i in range(space.n_modes):
+        for j in range(space.n_modes):
+            if one_body[i, j] != 0:
+                out = out + one_body[i, j] * (left[i] @ right[j])
+    return out
+
+
+def _loop_hamiltonian(space, kinetic, pair_potential, coupling):
+    diag = np.zeros(space.dim)
+    for n in range(space.dim):
+        occ = [j for j in range(space.n_modes) if n >> j & 1]
+        e = 0.0
+        for a in range(len(occ)):
+            for b in range(a + 1, len(occ)):
+                e += pair_potential[occ[a], occ[b]]
+        diag[n] = coupling * e
+    return _loop_quadratic(space, kinetic, "dgamma") + sparse.diags(diag)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_annihilator_stack_matches_loop_bitwise(m):
+    sp = FockSpace(m)
+    loop = [_loop_annihilator(sp, i).toarray() for i in range(m)]
+    assert np.array_equal(sp.annihilators.toarray(), np.concatenate(loop))
+    for i in range(m):
+        assert np.array_equal(annihilator(sp, i).toarray(), loop[i])
+    assert not sp.bits.flags.writeable and not sp.annihilators.data.flags.writeable
+    assert np.array_equal(sp.occupations(), [n.bit_count() for n in range(sp.dim)])
+
+
+@pytest.mark.parametrize("occupied", [[0, 2, 5], [1, 3, 4], [0, 1, 2, 3, 4, 5]])
+def test_particle_hole_matches_loop_bitwise(occupied):
+    sp = FockSpace(6)
+    fast, loop = particle_hole(sp, occupied), _loop_particle_hole(sp, occupied)
+    assert fast.dtype == loop.dtype and np.array_equal(fast.toarray(), loop.toarray())
+
+
+@pytest.mark.parametrize("kind", ["dgamma", "annihilation", "creation"])
+def test_quadratic_operators_match_loop_products(kind):
+    sp = FockSpace(5)
+    rng = np.random.default_rng(14)
+    o = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    fast = dgamma(sp, o) if kind == "dgamma" else pair_operator(sp, o, kind)
+    assert np.max(np.abs(fast.toarray() - _loop_quadratic(sp, o, kind).toarray())) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_ring_hamiltonian_matches_loop_build(m):
+    g = Grid(1, m)
+    p = ScaledParams(2, 0.5)
+    pot = power_law_potential(g, 0.5)
+    idx = np.arange(m)
+    pair_v = pot.values.reshape(-1)[(idx[:, None] - idx[None, :]) % m]
+    ref = _loop_hamiltonian(FockSpace(m), kinetic_operator(g, p).matrix, pair_v, p.coupling)
+    assert np.max(np.abs(ring_hamiltonian(g, p, pot).toarray() - ref.toarray())) <= 1e-13
