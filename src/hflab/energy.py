@@ -22,40 +22,22 @@ import numpy as np
 import scipy.fft
 
 from hflab.hartree_fock import SlaterState, hf_energy, laplacian_trace, orbital_density
-from hflab.lattice import DenseOperator, Field, ScaledParams
+from hflab.lattice import Field
 from hflab.potentials import PowerLawPotential
 from hflab.semiclassics import field_lp_norm
 
 
-def charge_density(state) -> Field:
+def charge_density(state: SlaterState) -> Field:
     """rho(x) = omega(x;x): integral equals the particle number."""
-    if isinstance(state, SlaterState):
-        return Field(state.grid, orbital_density(state.orbitals).astype(complex))
-    if isinstance(state, DenseOperator):
-        g = state.grid
-        vals = np.real(np.diag(state.matrix)) / g.cell_volume
-        return Field(g, vals.reshape(g.shape).astype(complex))
-    raise TypeError("expected a SlaterState or DenseOperator")
+    return Field(state.grid, orbital_density(state.orbitals).astype(complex))
 
 
-def kinetic_trace(state, epsilon_scaled: bool) -> float:
+def kinetic_trace(state: SlaterState, epsilon_scaled: bool) -> float:
     """tr(-eps^2 Lap) omega when scaled, tr(-Lap) omega otherwise."""
-    if isinstance(state, SlaterState):
-        g = state.grid
-        hat = scipy.fft.fftn(state.orbitals, axes=tuple(range(1, g.dim + 1)))
-        plain = laplacian_trace(g, hat)
-        return float(state.params.epsilon**2 * plain if epsilon_scaled else plain)
-    if isinstance(state, DenseOperator):
-        g = state.grid
-        mult = g.momentum_squared().reshape(-1)
-        if epsilon_scaled:
-            raise ValueError("dense input carries no scaling block; pass a SlaterState")
-        # momentum diagonal of F omega F^-1
-        a = scipy.fft.fftn(state.matrix.reshape(g.shape + g.shape), axes=tuple(range(g.dim)))
-        b = scipy.fft.ifftn(a, axes=tuple(range(g.dim, 2 * g.dim)))
-        diag = b.reshape(g.site_count, g.site_count).diagonal()
-        return float(np.real(np.sum(mult * diag)))
-    raise TypeError("expected a SlaterState or DenseOperator")
+    g = state.grid
+    hat = scipy.fft.fftn(state.orbitals, axes=tuple(range(1, g.dim + 1)))
+    plain = laplacian_trace(g, hat)
+    return float(state.params.epsilon**2 * plain if epsilon_scaled else plain)
 
 
 def pair_energy(rho: Field, potential: PowerLawPotential, n_particles: int) -> float:
@@ -99,48 +81,6 @@ class EnergyReport:
     @property
     def violations(self) -> list:
         return [link.name for link in self.links if not link.holds]
-
-
-def lieb_thirring_check(state) -> dict:
-    """||rho||_{5/3}^{5/3} against tr(-Lap) omega; returns the measured ratio."""
-    rho = charge_density(state)
-    lhs = field_lp_norm(rho, 5.0 / 3.0) ** (5.0 / 3.0)
-    rhs = kinetic_trace(state, epsilon_scaled=False)
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else np.inf}
-
-
-def hls_potential_check(state, potential: PowerLawPotential,
-                        n_particles: int | None = None) -> dict:
-    """Pair energy against the norm square at the 6/(6-alpha) index (3d audit)."""
-    rho = charge_density(state)
-    if rho.grid.dim != 3:
-        raise ValueError("the pair-energy norm audit is a 3d statement")
-    if n_particles is None:
-        n_particles = int(round(field_lp_norm(rho, 1.0)))
-    lhs = pair_energy(rho, potential, n_particles)
-    q = hls_index(potential.alpha)
-    nq = field_lp_norm(rho, q)
-    nq_printed = field_lp_norm(rho, 6.0 / (5.0 - potential.alpha))
-    rhs = nq**2 / n_particles
-    return {
-        "lhs": lhs,
-        "norm_hls": nq,
-        "norm_printed_variant": nq_printed,
-        "ratio": lhs / rhs if rhs > 0 else np.inf,
-    }
-
-
-def interpolation_young_chain(state, potential: PowerLawPotential,
-                              params: ScaledParams) -> list:
-    """Every link of the pair-energy closure, evaluated on both sides.
-
-    interpolation and the Young split are exact inequalities (Hoelder, AM-GM)
-    and must hold with zero violations; the first and last links carry measured
-    constants and are recorded via their ratios.
-    """
-    rho = charge_density(state)
-    norms = (field_lp_norm(rho, p) for p in (1.0, 5.0 / 3.0, hls_index(potential.alpha)))
-    return _chain_links(potential.alpha, params.n_particles, *norms)
 
 
 def _chain_links(alpha: float, n: int, l1: float, l53: float, lq: float) -> list:

@@ -8,12 +8,14 @@ so differences between the two runs isolate the mean-field error.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from hflab.hartree_fock import SlaterState, hf_step
+from hflab.fock import fluctuation_number
+from hflab.hartree_fock import SlaterState, density_matrix, hf_step
 from hflab.lattice import DenseOperator, Grid, ScaledParams
 from hflab.potentials import PowerLawPotential
 
@@ -59,52 +61,9 @@ class NBodyState:
         if self.grid.site_count**self.n > NBODY_SIZE_CAP:
             raise ValueError("N-body state exceeds the size cap")
 
-    def norm(self) -> float:
-        w = self.grid.cell_volume**self.n
-        return float(np.sqrt(w) * np.linalg.norm(self.psi))
-
-    def swap(self, i: int, j: int) -> np.ndarray:
-        """psi with particles i and j exchanged."""
-        axes = list(range(self.n * self.grid.dim))
-        for a, b in zip(_particle_axes(self.grid.dim, i), _particle_axes(self.grid.dim, j)):
-            axes[a], axes[b] = axes[b], axes[a]
-        return np.transpose(self.psi, axes)
-
-    def antisymmetry_defect(self) -> float:
-        worst = 0.0
-        w = np.sqrt(self.grid.cell_volume**self.n)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                worst = max(worst, w * np.linalg.norm(self.psi + self.swap(i, j)))
-        return worst
-
-    def copy(self) -> "NBodyState":
-        return NBodyState(self.grid, self.n, self.psi.copy(), self.params, self.time)
-
-
-def antisymmetrize(grid: Grid, psi_raw: np.ndarray, params: ScaledParams,
-                   time: float = 0.0) -> NBodyState:
-    """Signed sum over particle permutations, renormalized."""
-    n = params.n_particles
-    psi_raw = np.asarray(psi_raw, dtype=complex)
-    state = NBodyState(grid, n, psi_raw, params, time)
-    acc = np.zeros_like(psi_raw)
-    for perm in itertools.permutations(range(n)):
-        axes = []
-        for i in perm:
-            axes.extend(_particle_axes(grid.dim, i))
-        acc = acc + _permutation_sign(perm) * np.transpose(psi_raw, axes)
-    nrm = np.sqrt(grid.cell_volume**n) * np.linalg.norm(acc)
-    if nrm < 1e-12:
-        raise ValueError("input has no antisymmetric component")
-    state.psi = acc / nrm
-    return state
-
 
 def slater_wavefunction(state: SlaterState) -> NBodyState:
     """Determinantal N-body wave function of a Slater state (orthonormal orbitals)."""
-    import math
-
     n = state.params.n_particles
     acc = None
     for perm in itertools.permutations(range(n)):
@@ -176,29 +135,6 @@ def nbody_step(state: NBodyState, potential: PowerLawPotential, dt: float,
     return NBodyState(g, n, scipy.fft.ifftn(psi, overwrite_x=True), p, t)
 
 
-def run_nbody(state: NBodyState, potential: PowerLawPotential, dt: float,
-              n_steps: int, snapshot_every: int | None = None):
-    if snapshot_every is None:
-        snapshot_every = max(1, n_steps)
-    current = state.copy()  # nbody_step returns new states, so snapshots share no data
-    snaps = [(current.time, current)]
-    for done in range(0, n_steps, snapshot_every):
-        current = nbody_step(current, potential, dt, min(snapshot_every, n_steps - done))
-        snaps.append((current.time, current))
-    return snaps
-
-
-def nbody_energy(state: NBodyState, potential: PowerLawPotential) -> float:
-    g, n, p = state.grid, state.n, state.params
-    total = _kinetic_symbol(g, n, p.epsilon)
-    hat = scipy.fft.fftn(state.psi)
-    w = g.cell_volume**n
-    kinetic = w * np.sum(total * np.abs(hat) ** 2) / g.site_count**n
-    diag = pair_interaction_diagonal(g, n, potential, p.coupling)
-    pot = w * np.sum(diag * np.abs(state.psi) ** 2)
-    return float(kinetic + pot)
-
-
 def reduced_density(state: NBodyState) -> DenseOperator:
     """One-particle reduced density matrix, normalized to trace N."""
     g, n = state.grid, state.n
@@ -223,16 +159,12 @@ class DistanceRow:
 def hf_vs_exact_probe(initial: SlaterState, potential: PowerLawPotential,
                       dt: float, n_steps: int, snapshot_every: int) -> list:
     """Run exact and mean-field trajectories from the same Slater data."""
-    from hflab.fock import fluctuation_number  # shared one-particle formula
-
     exact = slater_wavefunction(initial)
     hf_state = initial.copy()
     rows = []
 
     def report(t, ex, hfs):
         gamma = reduced_density(ex)
-        from hflab.hartree_fock import density_matrix
-
         omega = density_matrix(hfs)
         diff = gamma.matrix - omega.matrix
         sv = np.linalg.svd(diff, compute_uv=False)

@@ -2,9 +2,9 @@
 
 Occupation basis states are bitmasks; creation and annihilation carry the
 Jordan-Wigner sign, the parity of occupied modes below the acted index.  All
-determinant signs downstream (Slater vectors, lifted one-particle unitaries,
-the particle-hole transformation) derive from that one convention.  The ring
-fluctuation run compares an exact Fock evolution with the HF flow on it.
+determinant signs downstream (lifted one-particle unitaries, the particle-hole
+transformation) derive from that one convention.  The ring fluctuation run
+compares an exact Fock evolution with the HF flow on it.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from hflab.hartree_fock import density_matrix, run_hf, slater_state
-from hflab.lattice import Grid, ScaledParams
-from hflab.potentials import PowerLawPotential, power_law_potential
+from hflab.hartree_fock import density_matrix, loewdin_orthonormalize, run_hf, slater_state
+from hflab.lattice import Grid, ScaledParams, kinetic_operator
+from hflab.potentials import PowerLawPotential, gaussian_window, power_law_potential
 from hflab.states import lowest_modes, plane_wave
 
 MODE_CAP = 12
@@ -77,21 +77,6 @@ class FockSpace:
         return np.nonzero(self.occupations() == n_particles)[0]
 
 
-def annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
-    """Sparse matrix of a_mode in the occupation basis: block `mode` of the stack."""
-    if not 0 <= mode < space.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    return space.annihilators[mode * space.dim:(mode + 1) * space.dim]
-
-
-def all_annihilators(space: FockSpace) -> list:
-    return [annihilator(space, i) for i in range(space.n_modes)]
-
-
-def creator(space: FockSpace, mode: int) -> sparse.csr_matrix:
-    return annihilator(space, mode).T.tocsr()
-
-
 def _creators(space: FockSpace) -> sparse.csr_matrix:
     """The stack whose block i is a_i^*, each block of the annihilator stack transposed."""
     stack = space.annihilators.tocoo()
@@ -128,17 +113,6 @@ def dgamma(space: FockSpace, one_body: np.ndarray) -> sparse.csr_matrix:
     return _quadratic(space, one_body, space.annihilators, space.annihilators)
 
 
-def pair_operator(space: FockSpace, one_body: np.ndarray,
-                  kind: str = "annihilation") -> sparse.csr_matrix:
-    """sum_ij O_ij a_i a_j (kind='annihilation') or a_i^* a_j^* (kind='creation')."""
-    if kind not in ("annihilation", "creation"):
-        raise ValueError("kind must be 'annihilation' or 'creation'")
-    ann, cre = space.annihilators, _creators(space)
-    # the block transposes of a_i^* are the a_i
-    left, right = (cre, ann) if kind == "annihilation" else (ann, cre)
-    return _quadratic(space, one_body, left, right)
-
-
 def gamma1(space: FockSpace, psi: np.ndarray) -> np.ndarray:
     """One-particle reduced density gamma_ij = <psi, a_j^* a_i psi>."""
     rows = (space.annihilators @ psi).reshape(space.n_modes, space.dim)
@@ -149,16 +123,6 @@ def fluctuation_number(gamma: np.ndarray, omega: np.ndarray) -> float:
     """tr[(1-omega) gamma] + tr[omega (1-gamma)] = tr gamma + tr omega - 2 Re tr(omega gamma)."""
     gamma, omega = np.asarray(gamma), np.asarray(omega)
     return float(np.trace(gamma).real + np.trace(omega).real - 2.0 * np.trace(omega @ gamma).real)
-
-
-def slater_vector(space: FockSpace, occupied) -> np.ndarray:
-    """Occupation-basis Slater vector a^*(e_{s1})...a^*(e_{sN}) Omega, s ascending."""
-    occupied = sorted(set(int(s) for s in occupied))
-    if occupied and not 0 <= occupied[-1] < space.n_modes:
-        raise ValueError("occupied mode out of range")
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[sum(1 << s for s in occupied)] = 1.0
-    return psi
 
 
 def particle_hole(space: FockSpace, occupied) -> sparse.csr_matrix:
@@ -211,14 +175,12 @@ def second_quantized_hamiltonian(space: FockSpace, kinetic: np.ndarray,
     return (dgamma(space, kinetic) + sparse.diags(diag)).tocsr()
 
 
-def ring_hamiltonian(grid: Grid, params: ScaledParams,
+def ring_hamiltonian(space: FockSpace, grid: Grid, params: ScaledParams,
                      potential: PowerLawPotential) -> sparse.csr_matrix:
-    """Lattice-mode Hamiltonian: spectral kinetic hops plus the regularized pair term."""
-    if grid.site_count > MODE_CAP:
-        raise ValueError("lattice has more sites than the mode cap")
-    from hflab.lattice import kinetic_operator
-
-    space = FockSpace(grid.site_count)
+    """Lattice-mode Hamiltonian on `space`, one mode per site: spectral kinetic hops
+    plus the regularized pair term."""
+    if space.n_modes != grid.site_count:
+        raise ValueError(f"{space.n_modes} modes for a lattice of {grid.site_count} sites")
     kin = kinetic_operator(grid, params).matrix
     return second_quantized_hamiltonian(space, kin, potential.pair_matrix, params.coupling)
 
@@ -262,7 +224,7 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     if zero_potential:
         potential = replace(potential, values=np.zeros(grid.shape))
     space = FockSpace(m_sites)
-    ham = ring_hamiltonian(grid, params, potential)
+    ham = ring_hamiltonian(space, grid, params, potential)
     orbitals = np.array([plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)])
     initial = slater_state(grid, orbitals, params)
     modes = np.sqrt(grid.cell_volume) * orbitals.reshape(n_particles, -1)
@@ -437,9 +399,6 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
     are built only on those sector blocks, and the norm is the largest block
     singular value.
     """
-    from hflab.hartree_fock import loewdin_orthonormalize
-    from hflab.potentials import gaussian_window
-
     if grid.site_count > 8:
         raise ValueError("dense pair-bound audit supported up to 8 modes")
     m = grid.site_count

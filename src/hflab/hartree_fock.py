@@ -35,7 +35,6 @@ import scipy.special
 
 from hflab.lattice import (
     DenseOperator,
-    Field,
     Grid,
     ScaledParams,
     projection_from_orbitals,
@@ -81,9 +80,6 @@ class SlaterState:
     @property
     def n_orbitals(self) -> int:
         return self.orbitals.shape[0]
-
-    def orbital(self, j: int) -> Field:
-        return Field(self.grid, self.orbitals[j].copy())
 
     def gram_defect(self) -> float:
         flat = self.orbitals.reshape(self.n_orbitals, -1)
@@ -144,12 +140,6 @@ def laplacian_trace(grid: Grid, hat: np.ndarray) -> float:
     """tr(-Lap) omega = h^d / M sum_j sum_k |k|^2 |f^_j(k)|^2, from the orbitals' transforms."""
     k2 = grid.momentum_squared()
     return grid.cell_volume / grid.site_count * sum(np.vdot(row, row * k2).real for row in hat)
-
-
-def density(state: SlaterState) -> Field:
-    """rho(x) = omega(x;x) / N; integrates to one."""
-    rho = orbital_density(state.orbitals) / state.params.n_particles
-    return Field(state.grid, rho.astype(complex))
 
 
 def _direct_potential(orbitals, potential, n_particles):
@@ -520,27 +510,3 @@ def hs_distance_squared(a: SlaterState, b: SlaterState) -> float:
     off_a = fb - overlaps @ fa
     off_b = fa - overlaps.conj().T @ fb
     return float(a.grid.cell_volume * (np.vdot(off_a, off_a) + np.vdot(off_b, off_b)).real)
-
-
-def save_checkpoint(state: SlaterState, path) -> None:
-    """Binary orbital dump with grid/scaling header; round-trips bit-exactly."""
-    np.savez(
-        path,
-        dim=state.grid.dim,
-        m=state.grid.m,
-        length=state.grid.length,
-        n_particles=state.params.n_particles,
-        alpha=state.params.alpha,
-        epsilon=state.params.epsilon,
-        time=state.time,
-        orbitals=state.orbitals,
-    )
-
-
-def load_checkpoint(path) -> SlaterState:
-    data = np.load(path)
-    grid = Grid(int(data["dim"]), int(data["m"]), float(data["length"]))
-    params = ScaledParams(
-        int(data["n_particles"]), float(data["alpha"]), float(data["epsilon"])
-    )
-    return SlaterState(grid, data["orbitals"], params, float(data["time"]))

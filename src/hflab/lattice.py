@@ -153,18 +153,8 @@ class Field:
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def norm(self) -> float:
         return float(np.sqrt(self.grid.cell_volume) * np.linalg.norm(self.values))
-
-
-def inner(f: Field, g: Field) -> complex:
-    """L2 inner product h^d * sum(conj(f) g); conjugate-linear in f."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires fields on the same grid")
-    return complex(f.grid.cell_volume * np.vdot(f.values, g.values))
 
 
 def normalized(f: Field) -> Field:
@@ -172,20 +162,6 @@ def normalized(f: Field) -> Field:
     if n == 0:
         raise ValueError("cannot normalize the zero field")
     return Field(f.grid, f.values / n)
-
-
-def fft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(values.reshape(grid.shape))
-
-
-def ifft(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifftn(values.reshape(grid.shape))
-
-
-def apply_kinetic(f: Field, params: ScaledParams) -> Field:
-    """Kinetic operator -eps^2 * Laplacian as the spectral multiplier eps^2 |k|^2."""
-    mult = params.epsilon**2 * f.grid.momentum_squared()
-    return Field(f.grid, ifft(f.grid, mult * fft(f.grid, f.values)))
 
 
 @dataclass
@@ -209,54 +185,6 @@ class DenseOperator:
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol)
-
-    def apply(self, f: Field) -> Field:
-        out = self.matrix @ f.values.reshape(-1)
-        return Field(self.grid, out.reshape(self.grid.shape))
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.grid, self.matrix + other.matrix)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.grid, self.matrix - other.matrix)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        return DenseOperator(self.grid, self.matrix @ other.matrix)
-
-
-def operator_norms(op: DenseOperator) -> dict:
-    """Schatten diagnostics: operator, Hilbert-Schmidt and trace norms plus the trace."""
-    try:
-        sv = np.linalg.svd(op.matrix, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("singular value decomposition failed") from exc
-    return {
-        "operator_norm": float(sv[0]) if sv.size else 0.0,
-        "hs_norm": float(np.sqrt(np.sum(sv**2))),
-        "trace_norm": float(np.sum(sv)),
-        "trace": complex(np.trace(op.matrix)),
-    }
-
-
-def absolute_value(op: DenseOperator) -> DenseOperator:
-    """|A| = (A* A)^(1/2); Hermitian PSD with the singular values of A."""
-    try:
-        _, sv, vh = np.linalg.svd(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("singular value decomposition failed") from exc
-    return DenseOperator(op.grid, vh.conj().T @ (sv[:, None] * vh))
-
-
-def trace_norm(op: DenseOperator) -> float:
-    return operator_norms(op)["trace_norm"]
-
-
-def hs_norm(op: DenseOperator) -> float:
-    return float(np.linalg.norm(op.matrix))
-
-
-def identity_operator(grid: Grid) -> DenseOperator:
-    return DenseOperator(grid, np.eye(grid.site_count, dtype=complex))
 
 
 def spectral_multiplier_operator(grid: Grid, multiplier: np.ndarray) -> DenseOperator:

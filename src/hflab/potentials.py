@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 from scipy.special import gamma
 
-from hflab.lattice import DENSE_SIDE_CAP, Field, Grid
+from hflab.lattice import DENSE_SIDE_CAP, Grid
 
 
 def fdl_constant(alpha: float, dim: int) -> float:
@@ -33,19 +33,6 @@ def fdl_constant(alpha: float, dim: int) -> float:
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     return 1.0 / ((np.pi / 2.0) ** (dim / 2.0) * 2.0 ** (alpha / 2.0 - 1.0) * gamma(alpha / 2.0))
-
-
-def z_integral(x: np.ndarray, y: np.ndarray, r: float) -> float:
-    """Center integral of a window pair: (pi r^2/2)^(d/2) exp(-|x-y|^2 / (2 r^2))."""
-    if r <= 0:
-        raise ValueError("window radius must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("positions must have matching dimensions")
-    d = x.size
-    s2 = float(np.sum((x - y) ** 2))
-    return (np.pi * r**2 / 2.0) ** (d / 2.0) * np.exp(-s2 / (2.0 * r**2))
 
 
 @dataclass(frozen=True)
@@ -150,10 +137,6 @@ class PowerLawPotential:
     values: np.ndarray
     regularization: str = "cell-clip"
 
-    @property
-    def on_site(self) -> float:
-        return float(self.grid.h ** (-self.alpha))
-
     @cached_property
     def v_hat(self) -> np.ndarray:
         """fftn(V), computed once; V(x) = V(-x) on the torus, so it is real."""
@@ -236,15 +219,3 @@ def gaussian_window(grid: Grid, center: np.ndarray, radius: float) -> np.ndarray
         delta = np.mod(coord - center[axis] + half, grid.length) - half
         d2 = d2 + delta**2
     return np.exp(-d2 / radius**2)
-
-
-def convolve_potential(rho: Field, potential: PowerLawPotential) -> Field:
-    """Periodic convolution (V * rho)(x) = h^d sum_y V(x-y) rho(y) via FFT."""
-    if rho.grid != potential.grid:
-        raise ValueError("density and potential live on different grids")
-    imag_max = float(np.max(np.abs(rho.values.imag))) if rho.values.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(rho.values))))
-    if imag_max > 1e-10 * scale:
-        raise ValueError("density must be real within 1e-10 relative")
-    out = potential.convolve(rho.values.real)
-    return Field(rho.grid, out.astype(complex))

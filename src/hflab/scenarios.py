@@ -11,7 +11,6 @@ fixed tolerances and are independent of any baseline.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import operator
 import warnings
@@ -82,15 +81,6 @@ class RunConfig:
             raise ValueError("config field n_particles must be >= 1")
         if self.snapshot_stride < 1:
             raise ValueError("config field snapshot_stride must be >= 1")
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """The preset's defaults, then the fields of `text` (see `build_config`)."""
-        data = json.loads(text)
-        return build_config(data.pop("scenario", None), overrides=data)
 
     def params(self) -> ScaledParams:
         return ScaledParams(self.n_particles, self.alpha, self.epsilon_override)
@@ -394,7 +384,7 @@ def scenario_energy_audit(cfg: RunConfig) -> ScenarioResult:
     grid1 = Grid(1, 64, cfg.length)
     pot1 = power_law_potential(grid1, 0.5)
     st1 = packet_slater(grid1, ScaledParams(4, 0.5))
-    snaps, _ = run_hf(st1, pot1, cfg.dt, min(200, int(cfg.t_final / cfg.dt)), 50)
+    snaps, _ = run_hf(st1, pot1, cfg.dt, min(200, int(round(cfg.t_final / cfg.dt))), 50)
     transfer = energy_mod.conservation_transfer_audit(snaps, pot1)
     ball = measured["fermi-ball"]
     return ScenarioResult(

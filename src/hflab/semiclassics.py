@@ -17,11 +17,8 @@ import numpy as np
 import scipy.fft
 
 from hflab.hartree_fock import SlaterState
-from hflab.lattice import (
-    DenseOperator,
-    Field,
-    spectral_multiplier_operator,
-)
+from hflab.lattice import Field
+from hflab.potentials import gaussian_window
 
 PLAIN = "plain"
 PERIODIC = "periodic"
@@ -67,18 +64,6 @@ class DiagnosticsConfig:
             return False
 
 
-def commutator_position(omega: DenseOperator, axis: int,
-                        convention: str = PLAIN) -> DenseOperator:
-    """[X_axis, omega] with X the chosen coordinate convention.
-
-    periodic: (L / 2 pi) * [exp(2 pi i x / L), omega], which reduces to the
-    plain commutator for states far from the wrap-around seam.
-    """
-    x, scale = _position_multiplier(omega.grid, axis, convention)
-    mat = x[:, None] * omega.matrix - omega.matrix * x[None, :]
-    return DenseOperator(omega.grid, scale * mat)
-
-
 def _position_multiplier(g, axis: int, convention: str):
     """Diagonal (x, scale) with [X_axis, omega] = scale * [diag(x), omega]."""
     coords = g.coordinate_mesh(axis).reshape(-1)
@@ -87,21 +72,6 @@ def _position_multiplier(g, axis: int, convention: str):
     if convention == PERIODIC:
         return np.exp(2j * np.pi * coords / g.length), g.length / (2.0 * np.pi)
     raise ValueError("convention must be 'plain' or 'periodic'")
-
-
-def commutator_momentum(omega: DenseOperator, axis: int, epsilon: float) -> DenseOperator:
-    """[-i eps d/dx_axis, omega] via the spectral derivative."""
-    g = omega.grid
-    mult = epsilon * g.momentum_mesh()[axis]
-    p_op = spectral_multiplier_operator(g, mult)
-    return DenseOperator(g, p_op.matrix @ omega.matrix - omega.matrix @ p_op.matrix)
-
-
-def diagonal_density(op: DenseOperator) -> Field:
-    """Diagonal kernel of an operator as a field: rho(z) = A(z;z) = diag / h^d."""
-    g = op.grid
-    vals = np.real(np.diag(op.matrix)) / g.cell_volume
-    return Field(g, vals.reshape(g.shape).astype(complex))
 
 
 def field_lp_norm(f: Field, p: float) -> float:
@@ -261,8 +231,6 @@ def window_commutator_audit(omega, config: DiagnosticsConfig, radii=None) -> Win
     Reports the fitted constant max(LHS/RHS) and the least-squares r-exponent of
     the z-averaged LHS; the 3/2 - 3 delta prediction applies to 3d states only.
     """
-    from hflab.potentials import gaussian_window
-
     g = omega.grid
     delta = config.delta
     if radii is None:

@@ -1,0 +1,80 @@
+"""Dense reference implementations the tests compare the library against.
+
+Nothing in `hflab` calls these: each builds the full operator (an M x M
+matrix on the grid, or a 2^m vector in Fock space) that the library avoids,
+so a test can check the library's answer against the textbook formula.
+"""
+
+import numpy as np
+from scipy import sparse
+
+from hflab.fock import FockSpace
+from hflab.lattice import DenseOperator, Field, spectral_multiplier_operator
+from hflab.semiclassics import PLAIN, _position_multiplier
+
+
+def operator_norms(op: DenseOperator) -> dict:
+    """Schatten diagnostics: operator, Hilbert-Schmidt and trace norms plus the trace."""
+    try:
+        sv = np.linalg.svd(op.matrix, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("singular value decomposition failed") from exc
+    return {
+        "operator_norm": float(sv[0]) if sv.size else 0.0,
+        "hs_norm": float(np.sqrt(np.sum(sv**2))),
+        "trace_norm": float(np.sum(sv)),
+        "trace": complex(np.trace(op.matrix)),
+    }
+
+
+def absolute_value(op: DenseOperator) -> DenseOperator:
+    """|A| = (A* A)^(1/2); Hermitian PSD with the singular values of A."""
+    try:
+        _, sv, vh = np.linalg.svd(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("singular value decomposition failed") from exc
+    return DenseOperator(op.grid, vh.conj().T @ (sv[:, None] * vh))
+
+
+def commutator_position(omega: DenseOperator, axis: int,
+                        convention: str = PLAIN) -> DenseOperator:
+    """[X_axis, omega] with X the chosen coordinate convention.
+
+    periodic: (L / 2 pi) * [exp(2 pi i x / L), omega], which reduces to the
+    plain commutator for states far from the wrap-around seam.
+    """
+    x, scale = _position_multiplier(omega.grid, axis, convention)
+    mat = x[:, None] * omega.matrix - omega.matrix * x[None, :]
+    return DenseOperator(omega.grid, scale * mat)
+
+
+def commutator_momentum(omega: DenseOperator, axis: int, epsilon: float) -> DenseOperator:
+    """[-i eps d/dx_axis, omega] via the spectral derivative."""
+    g = omega.grid
+    mult = epsilon * g.momentum_mesh()[axis]
+    p_op = spectral_multiplier_operator(g, mult)
+    return DenseOperator(g, p_op.matrix @ omega.matrix - omega.matrix @ p_op.matrix)
+
+
+def diagonal_density(op: DenseOperator) -> Field:
+    """Diagonal kernel of an operator as a field: rho(z) = A(z;z) = diag / h^d."""
+    g = op.grid
+    vals = np.real(np.diag(op.matrix)) / g.cell_volume
+    return Field(g, vals.reshape(g.shape).astype(complex))
+
+
+def annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
+    """Sparse matrix of a_mode in the occupation basis: block `mode` of the stack."""
+    if not 0 <= mode < space.n_modes:
+        raise ValueError(f"mode {mode} out of range")
+    return space.annihilators[mode * space.dim:(mode + 1) * space.dim]
+
+
+def slater_vector(space: FockSpace, occupied) -> np.ndarray:
+    """Occupation-basis Slater vector a^*(e_{s1})...a^*(e_{sN}) Omega, s ascending."""
+    occupied = sorted(set(int(s) for s in occupied))
+    if occupied and not 0 <= occupied[-1] < space.n_modes:
+        raise ValueError("occupied mode out of range")
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[sum(1 << s for s in occupied)] = 1.0
+    return psi

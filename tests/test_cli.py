@@ -9,27 +9,35 @@ from hflab.cli import _load_config, main
 from hflab.scenarios import SCENARIOS, Check, RunConfig, Scenario, build_config, run_scenario
 
 
-def test_config_round_trip_bit_exact():
+def test_config_round_trip_bit_exact(tmp_path):
+    # the manifest's config, fed back through `run --config`, is the same config
     cfg = build_config("fdl-verify", seed=99)
-    text = cfg.to_json()
-    back = RunConfig.from_json(text)
-    assert back == cfg
-    assert back.to_json() == text
+    first = ["run", "--scenario", "fdl-verify", "--seed", "99", "--out", str(tmp_path / "a")]
+    assert main(first) == 0
+    manifest = json.loads((tmp_path / "a" / "fdl-verify" / "manifest.json").read_text())
+    text = json.dumps(manifest["runs"][0]["config"])
+    assert text == json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert _load_config(str(config), None, None) == cfg
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    back = json.loads((tmp_path / "b" / "fdl-verify" / "manifest.json").read_text())
+    assert json.dumps(back["runs"][0]["config"]) == text
 
 
 def test_config_rejects_bad_alpha():
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
-        RunConfig.from_json(json.dumps({"scenario": "fdl-verify", "alpha": 1.5}))
+        build_config("fdl-verify", overrides={"alpha": 1.5})
 
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ValueError, match="unknown config fields"):
-        RunConfig.from_json(json.dumps({"scenario": "fdl-verify", "bogus": 1}))
+        build_config("fdl-verify", overrides={"bogus": 1})
 
 
 def test_config_rejects_bad_grid():
     with pytest.raises(ValueError, match="power of two"):
-        RunConfig.from_json(json.dumps({"scenario": "fdl-verify", "m": 48}))
+        build_config("fdl-verify", overrides={"m": 48})
 
 
 def test_preset_table():
@@ -295,5 +303,19 @@ def test_declared_fields_are_config_fields():
     names = {f.name for f in dataclasses.fields(RunConfig)}
     for name, preset in SCENARIOS.items():
         assert set(preset.honours.split()) <= names - {"scenario", "seed"}
-        full = json.loads(build_config(name, seed=4).to_json())
-        assert RunConfig.from_json(json.dumps(full)) == build_config(name, seed=4)
+        full = dataclasses.asdict(build_config(name, seed=4))
+        assert build_config(full.pop("scenario"), overrides=full) == build_config(name, seed=4)
+
+
+def test_energy_audit_rounds_its_step_count(monkeypatch):
+    # 0.043 / 1e-3 = 42.99999999999999 in floating point
+    steps = []
+    real = scenarios.run_hf
+
+    def spy(state, potential, dt, n_steps, *args):
+        steps.append(n_steps)
+        return real(state, potential, dt, n_steps, *args)
+
+    monkeypatch.setattr(scenarios, "run_hf", spy)
+    scenarios.scenario_energy_audit(build_config("energy-audit", overrides={"t_final": 0.043}))
+    assert steps == [43]

@@ -7,15 +7,12 @@ from hflab.energy import (
     conservation_transfer_audit,
     energy_report,
     hls_index,
-    hls_potential_check,
-    interpolation_young_chain,
     kinetic_trace,
-    lieb_thirring_check,
     pair_energy,
     report_to_csv_row,
 )
 from hflab.hartree_fock import density_matrix, run_hf, slater_state
-from hflab.lattice import Grid, ScaledParams
+from hflab.lattice import Grid, ScaledParams, spectral_multiplier_operator
 from hflab.potentials import power_law_potential
 from hflab.semiclassics import field_lp_norm
 from hflab.states import (
@@ -43,8 +40,6 @@ def test_charge_density_normalization():
     st = random_slater(g, p, rng)
     rho = charge_density(st)
     assert field_lp_norm(rho, 1.0) == pytest.approx(3.0, abs=1e-10)
-    dense = charge_density(density_matrix(st))
-    assert np.max(np.abs(dense.values - rho.values)) < 1e-10
 
 
 def test_plane_wave_closed_form():
@@ -52,11 +47,11 @@ def test_plane_wave_closed_form():
     g = Grid(3, 8)
     p = ScaledParams(1, 1.0)
     st = slater_state(g, plane_wave(g, (1, 0, 0)).values[None], p)
-    check = lieb_thirring_check(st)
+    report = energy_report(st, power_law_potential(g, 1.0))
     k2 = (2 * np.pi / g.length) ** 2
-    assert check["rhs"] == pytest.approx(k2, abs=1e-10)
+    assert report.kinetic_plain == pytest.approx(k2, abs=1e-10)
     rho0 = 1.0 / g.length**3
-    assert check["lhs"] == pytest.approx(rho0 ** (5 / 3) * g.length**3, rel=1e-10)
+    assert report.rho_53 ** (5 / 3) == pytest.approx(rho0 ** (5 / 3) * g.length**3, rel=1e-10)
 
 
 def test_kinetic_trace_dense_matches_state():
@@ -64,15 +59,16 @@ def test_kinetic_trace_dense_matches_state():
     p = ScaledParams(3, 0.5)
     rng = np.random.default_rng(1)
     st = random_slater(g, p, rng)
-    assert kinetic_trace(density_matrix(st), False) == pytest.approx(
-        kinetic_trace(st, False), abs=1e-8
-    )
+    # tr(-Lap) omega with both factors dense
+    lap = spectral_multiplier_operator(g, g.momentum_squared()).matrix
+    dense = np.trace(lap @ density_matrix(st).matrix).real
+    assert dense == pytest.approx(kinetic_trace(st, False), abs=1e-8)
 
 
 def test_lt_ratio_regression_fermi_ball():
     g = Grid(3, 8)
     st = fermi_ball(g, ScaledParams(7, 1.0))
-    ratio = lieb_thirring_check(st)["ratio"]
+    ratio = energy_report(st, power_law_potential(g, 1.0)).lieb_thirring_ratio
     assert ratio == pytest.approx(LT_RATIO_FERMI_BALL_3D, rel=1e-6)
 
 
@@ -81,6 +77,7 @@ def test_lt_ratio_dilation_invariance():
     from hflab.hartree_fock import loewdin_orthonormalize
 
     g = Grid(3, 64)
+    pot = power_law_potential(g, 1.0)
 
     def packet_state(width):
         c = g.length / 2
@@ -94,9 +91,9 @@ def test_lt_ratio_dilation_invariance():
         ]
         return slater_state(g, loewdin_orthonormalize(g, np.array(orbs)), ScaledParams(4, 1.0))
 
-    base = lieb_thirring_check(packet_state(0.35))["ratio"]
+    base = energy_report(packet_state(0.35), pot).lieb_thirring_ratio
     for lam in (0.5, 2.0):
-        ratio = lieb_thirring_check(packet_state(0.35 * lam))["ratio"]
+        ratio = energy_report(packet_state(0.35 * lam), pot).lieb_thirring_ratio
         assert ratio == pytest.approx(base, rel=0.02)
 
 
@@ -110,7 +107,7 @@ def test_hls_single_cell_direction():
     rho_vals[0, 0, 0] = 1.0 / g.cell_volume
     rho = Field(g, rho_vals.astype(complex))
     lhs = pair_energy(rho, pot, 1)
-    assert lhs <= pot.on_site * 1.0**2 + 1e-10
+    assert lhs <= pot.values[0, 0, 0] * 1.0**2 + 1e-10
     assert np.isfinite(field_lp_norm(rho, hls_index(1.0)))
 
 
@@ -118,11 +115,9 @@ def test_hls_ratio_regression_fermi_ball():
     g = Grid(3, 8)
     st = fermi_ball(g, ScaledParams(7, 1.0))
     pot = power_law_potential(g, 1.0)
-    check = hls_potential_check(st, pot, 7)
-    assert check["lhs"] / (check["norm_hls"] ** 2 / 7) == pytest.approx(
-        HLS_RATIO_FERMI_BALL_3D, rel=1e-6
-    )
-    assert check["norm_printed_variant"] > 0
+    report = energy_report(st, pot)
+    assert report.hls_ratio == pytest.approx(HLS_RATIO_FERMI_BALL_3D, rel=1e-6)
+    assert report.rho_pair_index_printed > 0
 
 
 def test_hls_two_bump_separation_decay():
@@ -153,20 +148,13 @@ def test_hls_two_bump_separation_decay():
     assert far[1] == pytest.approx(near[1], rel=0.05)
 
 
-def test_hls_rejects_low_dimension():
-    g = Grid(1, 16)
-    st = random_slater(g, ScaledParams(2, 0.5), np.random.default_rng(2))
-    with pytest.raises(ValueError):
-        hls_potential_check(st, power_law_potential(g, 0.5))
-
-
 def test_chain_constant_density_closed_form():
     # constant rho: interpolation is an equality, Young strict
     g = Grid(3, 8)
     p = ScaledParams(7, 0.5)
     st = fermi_ball(g, p)
     pot = power_law_potential(g, 0.5)
-    links = {l.name: l for l in interpolation_young_chain(st, pot, p)}
+    links = {l.name: l for l in energy_report(st, pot).links}
     interp = links["interpolation"]
     assert interp.lhs == pytest.approx(interp.rhs, rel=1e-10)
     assert links["young-split"].holds

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -6,31 +7,42 @@ import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from references import annihilator, slater_vector
+
 from hflab.fock import (
     FockSpace,
+    _creators,
+    _quadratic,
     _sector_annihilators,
-    all_annihilators,
     annihilate_orbital,
-    annihilator,
     audit_fock_operator_bounds,
     audit_window_pair_bound,
     create_orbital,
-    creator,
     dgamma,
     evolve_exact,
     fluctuation_number,
+    fluctuation_ring_run,
     gamma1,
     lift_unitary,
     number_operator,
-    pair_operator,
     particle_hole,
     ring_hamiltonian,
     second_quantized_hamiltonian,
-    slater_vector,
 )
 from hflab.hartree_fock import loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
+
+
+def pair_operator(space: FockSpace, one_body: np.ndarray,
+                  kind: str = "annihilation") -> sparse.csr_matrix:
+    """sum_ij O_ij a_i a_j (kind='annihilation') or a_i^* a_j^* (kind='creation')."""
+    if kind not in ("annihilation", "creation"):
+        raise ValueError("kind must be 'annihilation' or 'creation'")
+    ann, cre = space.annihilators, _creators(space)
+    # the block transposes of a_i^* are the a_i
+    left, right = (cre, ann) if kind == "annihilation" else (ann, cre)
+    return _quadratic(space, one_body, left, right)
 
 
 def haar_unitary(n, rng):
@@ -41,7 +53,7 @@ def haar_unitary(n, rng):
 
 def test_car_relations_exact():
     sp = FockSpace(5)
-    ops = all_annihilators(sp)
+    ops = [annihilator(sp, i) for i in range(sp.n_modes)]
     eye = np.eye(sp.dim)
     for i in range(5):
         for j in range(5):
@@ -58,7 +70,7 @@ def test_vacuum_and_occupation():
         assert np.max(np.abs(annihilator(sp, i) @ sp.vacuum())) == 0.0
     # a_i^* a_i reads the occupation bit
     for i in range(4):
-        num = (creator(sp, i) @ annihilator(sp, i)).toarray()
+        num = (annihilator(sp, i).T @ annihilator(sp, i)).toarray()
         bits = np.array([(n >> i) & 1 for n in range(sp.dim)], dtype=float)
         assert np.max(np.abs(num - np.diag(bits))) == 0.0
 
@@ -126,7 +138,7 @@ def test_slater_vector_and_construction_agree():
     occ = [1, 3, 4]
     direct = sp.vacuum()
     for s in sorted(occ, reverse=True):
-        direct = creator(sp, s) @ direct
+        direct = annihilator(sp, s).T @ direct
     assert np.max(np.abs(slater_vector(sp, occ) - direct)) == 0.0
 
 
@@ -231,7 +243,7 @@ def test_hamiltonian_single_particle_spectrum():
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     space = FockSpace(8)
-    ham = ring_hamiltonian(g, p, pot).toarray()
+    ham = ring_hamiltonian(space, g, p, pot).toarray()
     masks = space.sector_masks(1)
     block = ham[np.ix_(masks, masks)]
     kin = kinetic_operator(g, p).matrix
@@ -258,8 +270,9 @@ def test_hamiltonian_two_site_two_particle():
 def test_hamiltonian_number_conserving():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
-    ham = ring_hamiltonian(g, p, power_law_potential(g, 0.5))
-    nop = number_operator(FockSpace(6))
+    space = FockSpace(6)
+    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    nop = number_operator(space)
     comm = (ham @ nop - nop @ ham).toarray()
     assert np.max(np.abs(comm)) < 1e-12
 
@@ -270,7 +283,7 @@ def test_sector_matches_antisymmetrized_first_quantization():
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     space = FockSpace(6)
-    ham = ring_hamiltonian(g, p, pot).toarray()
+    ham = ring_hamiltonian(space, g, p, pot).toarray()
     masks = space.sector_masks(2)
     block = ham[np.ix_(masks, masks)]
 
@@ -328,7 +341,7 @@ def test_fluctuation_after_exact_evolution():
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     space = FockSpace(6)
-    ham = ring_hamiltonian(g, p, pot)
+    ham = ring_hamiltonian(space, g, p, pot)
     psi0 = slater_vector(space, [0, 3])
     snaps = evolve_exact(ham, psi0, 0.05, 10, p.epsilon)
     _, psi_t = snaps[-1]
@@ -502,8 +515,9 @@ def test_pair_bound_audit_memory_is_sector_sized():
 def test_exact_evolution_matches_dense_expm():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
-    ham = ring_hamiltonian(g, p, power_law_potential(g, 0.5))
-    psi0 = slater_vector(FockSpace(6), [0, 1])
+    space = FockSpace(6)
+    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    psi0 = slater_vector(space, [0, 1])
     snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon)
     _, psi_t = snaps[-1]
     direct = expm(-1j * 0.5 / p.epsilon * ham.toarray()) @ psi0
@@ -524,8 +538,9 @@ def test_exact_evolution_one_expm_multiply_per_report(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
-    ham = ring_hamiltonian(g, p, power_law_potential(g, 0.5))
-    psi0 = slater_vector(FockSpace(6), [0, 1])
+    space = FockSpace(6)
+    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    psi0 = slater_vector(space, [0, 1])
     snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
     assert len(calls) == 3  # reports after steps 2, 4 and 5
     assert [t for t, _ in snaps] == [s * 0.1 for s in (0, 2, 4, 5)]
@@ -620,5 +635,27 @@ def test_ring_hamiltonian_matches_loop_build(m):
     pot = power_law_potential(g, 0.5)
     idx = np.arange(m)
     pair_v = pot.values.reshape(-1)[(idx[:, None] - idx[None, :]) % m]
-    ref = _loop_hamiltonian(FockSpace(m), kinetic_operator(g, p).matrix, pair_v, p.coupling)
-    assert np.max(np.abs(ring_hamiltonian(g, p, pot).toarray() - ref.toarray())) <= 1e-13
+    space = FockSpace(m)
+    ref = _loop_hamiltonian(space, kinetic_operator(g, p).matrix, pair_v, p.coupling)
+    assert np.max(np.abs(ring_hamiltonian(space, g, p, pot).toarray() - ref.toarray())) <= 1e-13
+
+
+def test_ring_hamiltonian_rejects_a_space_of_another_size():
+    g = Grid(1, 6)
+    with pytest.raises(ValueError):
+        ring_hamiltonian(FockSpace(8), g, ScaledParams(2, 0.5), power_law_potential(g, 0.5))
+
+
+def test_fluctuation_ring_run_builds_one_annihilator_stack(monkeypatch):
+    builds = []
+    build = FockSpace.annihilators.func
+
+    def counted(space):
+        builds.append(space.n_modes)
+        return build(space)
+
+    stack = functools.cached_property(counted)
+    stack.__set_name__(FockSpace, "annihilators")
+    monkeypatch.setattr(FockSpace, "annihilators", stack)
+    fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
+    assert builds == [8]

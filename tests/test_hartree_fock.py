@@ -10,21 +10,19 @@ from hflab import hartree_fock as hf
 from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
     SlaterState,
-    density,
     density_matrix,
     hf_energy,
     hf_step,
     hs_distance_squared,
-    load_checkpoint,
     loewdin_orthonormalize,
+    orbital_density,
     run_hf,
-    save_checkpoint,
     slater_state,
 )
 from hflab.lattice import (
-    DenseOperator, Field, Grid, ScaledParams, apply_kinetic, inner, projection_from_orbitals,
+    DenseOperator, Field, Grid, ScaledParams, kinetic_operator, projection_from_orbitals,
 )
-from hflab.potentials import PowerLawPotential, convolve_potential, power_law_potential
+from hflab.potentials import PowerLawPotential, power_law_potential
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, plane_wave, random_slater
 
 
@@ -121,8 +119,8 @@ def test_generator_single_orbital_cancellation():
     pot = power_law_potential(g, 0.5)
     st = slater_state(g, gaussian_packet(g, [np.pi], 0.4).values[None], p)
     gen = hf_generator(st, pot)
-    kin = apply_kinetic(st.orbital(0), p)
-    assert np.max(np.abs(gen[0] - kin.values)) < 1e-10
+    kin = kinetic_operator(g, p).matrix @ st.orbitals[0]
+    assert np.max(np.abs(gen[0] - kin)) < 1e-10
 
 
 def test_generator_free_equals_kinetic():
@@ -132,8 +130,8 @@ def test_generator_free_equals_kinetic():
     st = random_slater(g, p, rng)
     gen = hf_generator(st, zero_potential(g))
     for j in range(3):
-        kin = apply_kinetic(st.orbital(j), p)
-        assert np.max(np.abs(gen[j] - kin.values)) < 1e-12
+        kin = kinetic_operator(g, p).matrix @ st.orbitals[j]
+        assert np.max(np.abs(gen[j] - kin)) < 1e-12
 
 
 def test_exchange_matches_double_sum_oracle():
@@ -142,7 +140,7 @@ def test_exchange_matches_double_sum_oracle():
     pot = power_law_potential(g, 0.5)
     rng = np.random.default_rng(2)
     st = random_slater(g, p, rng)
-    xf = apply_exchange(st, pot, st.orbital(0))
+    xf = apply_exchange(st, pot, Field(g, st.orbitals[0]))
     # oracle: (X f)(x) = (1/N) h sum_y V(x-y) omega(x;y) f(y)
     orbs = st.orbitals
     omega = np.einsum("ix,iy->xy", orbs, orbs.conj())
@@ -163,9 +161,9 @@ def test_exchange_kernel_consistency():
     st = random_slater(g, p, rng)
     dense = exchange_kernel(st, pot)
     f = Field(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    via_dense = dense.apply(f)
+    via_dense = dense.matrix @ f.values
     via_conv = apply_exchange(st, pot, f)
-    assert np.max(np.abs(via_dense.values - via_conv.values)) < 1e-10
+    assert np.max(np.abs(via_dense - via_conv.values)) < 1e-10
 
 
 def exact_fft_step(st, pot, dt):
@@ -235,7 +233,7 @@ def test_energy_single_orbital_kinetic_only():
     f = gaussian_packet(g, [np.pi], 0.4, (2,))
     st = slater_state(g, f.values[None], p)
     e = hf_energy(st, pot)
-    kin = inner(f, apply_kinetic(f, p)).real
+    kin = g.cell_volume * np.vdot(f.values, kinetic_operator(g, p).matrix @ f.values).real
     assert e == pytest.approx(kin, abs=1e-10)
 
 
@@ -260,7 +258,8 @@ def test_energy_double_sum_oracle():
     orbs = st.orbitals
     omega = np.einsum("ix,iy->xy", orbs, orbs.conj())
     v = min_image_v(g, 0.5)
-    kin = sum(inner(st.orbital(j), apply_kinetic(st.orbital(j), p)).real for j in range(2))
+    kmat = kinetic_operator(g, p).matrix
+    kin = sum(g.cell_volume * np.vdot(f, kmat @ f).real for f in orbs)
     direct = exch = 0.0
     for x in range(16):
         for y in range(16):
@@ -276,11 +275,10 @@ def test_density_fields():
     p = ScaledParams(3, 0.5)
     rng = np.random.default_rng(6)
     st = random_slater(g, p, rng)
-    rho = density(st)
-    assert np.min(rho.values.real) >= 0.0
-    assert g.cell_volume * np.sum(rho.values.real) == pytest.approx(1.0, abs=1e-10)
-    direct = convolve_potential(rho, power_law_potential(g, 0.5))
-    assert np.max(np.abs(direct.values.imag)) < 1e-12
+    rho = orbital_density(st.orbitals)
+    assert np.min(rho) >= 0.0
+    assert g.cell_volume * np.sum(rho) == pytest.approx(3.0, abs=1e-10)
+    assert np.isrealobj(power_law_potential(g, 0.5).convolve(rho))
 
 
 def test_density_matrix_projection():
@@ -352,21 +350,6 @@ def test_single_orbital_free_dynamics_long():
     assert err < 1e-8
 
 
-def test_checkpoint_round_trip(tmp_path):
-    g = Grid(1, 32)
-    p = ScaledParams(3, 0.5)
-    rng = np.random.default_rng(9)
-    st = random_slater(g, p, rng)
-    st.time = 0.375
-    path = tmp_path / "state.npz"
-    save_checkpoint(st, path)
-    back = load_checkpoint(path)
-    assert back.grid == st.grid
-    assert back.params == st.params
-    assert back.time == st.time
-    assert np.array_equal(back.orbitals, st.orbitals)  # bit-exact
-
-
 def test_step_rejects_bad_dt():
     g = Grid(1, 16)
     p = ScaledParams(2, 0.5)
@@ -429,7 +412,7 @@ def test_chunked_exchange_matches_dense_kernel(monkeypatch):
     rng = np.random.default_rng(11)
     st = random_slater(g, p, rng)
     f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    via_dense = exchange_kernel(st, pot).apply(f).values
+    via_dense = (exchange_kernel(st, pot).matrix @ f.values.reshape(-1)).reshape(g.shape)
     via_conv = apply_exchange(st, pot, f).values
     assert np.max(np.abs(via_conv - via_dense)) <= 1e-12 * np.max(np.abs(via_dense))
 
@@ -449,7 +432,7 @@ def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
     got = apply_mean_field(f, f, u, pot, p.n_particles)
     dense = exchange_kernel(st, pot)
     for j in range(p.n_particles):
-        expected = u * f[j] - dense.apply(st.orbital(j)).values
+        expected = u * f[j] - (dense.matrix @ f[j].reshape(-1)).reshape(g.shape)
         assert np.max(np.abs(got[j] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hflab.lattice import Field, Grid
+from hflab.lattice import Grid
 from hflab.potentials import (
-    convolve_potential,
     fdl_constant,
     fdl_reconstruct,
     gaussian_window,
     power_law_potential,
     radial_quadrature,
     split_quadrature,
-    z_integral,
 )
 from hflab.scenarios import write_table
 
@@ -59,45 +57,6 @@ def test_fdl_constant_validation():
         fdl_constant(1.5, 3)
     with pytest.raises(ValueError):
         fdl_constant(0.5, 4)
-
-
-def test_z_integral_coincident_points():
-    for r in (0.5, 1.0, 2.0):
-        x = np.zeros(3)
-        assert z_integral(x, x, r) == pytest.approx(
-            (np.pi * r**2 / 2) ** 1.5, rel=1e-12
-        )
-
-
-def test_z_integral_decay_and_symmetry():
-    x = np.array([0.0, 0.0, 0.0])
-    y = np.array([40.0, 0.0, 0.0])
-    assert z_integral(x, y, 1.0) < 1e-300
-    a = np.array([0.3, -1.0, 2.0])
-    b = np.array([1.1, 0.4, -0.2])
-    assert z_integral(a, b, 0.7) == z_integral(b, a, 0.7)
-
-
-def test_z_integral_unit_separation_value():
-    x = np.zeros(3)
-    y = np.array([1.0, 0.0, 0.0])
-    expected = (np.pi / 2) ** 1.5 * np.exp(-0.5)
-    assert z_integral(x, y, 1.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_z_integral_lattice_sum_oracle():
-    # separable 1d lattice sums of the window product, h = 0.05
-    x = np.zeros(3)
-    y = np.array([1.0, 0.0, 0.0])
-    r = 1.0
-    h = 0.05
-    z = np.arange(-8.0, 8.0, h)
-    per_axis = [
-        np.sum(np.exp(-((xa - z) ** 2) / r**2) * np.exp(-((ya - z) ** 2) / r**2)) * h
-        for xa, ya in zip(x, y)
-    ]
-    oracle = float(np.prod(per_axis))
-    assert z_integral(x, y, r) == pytest.approx(oracle, rel=1e-4)
 
 
 def test_reconstruct_targets():
@@ -191,8 +150,8 @@ def test_convolution_point_mass():
     v = power_law_potential(g, 1.0)
     rho = np.zeros(g.shape)
     rho[0] = 1.0 / g.cell_volume  # unit mass in one cell
-    out = convolve_potential(Field(g, rho.astype(complex)), v)
-    assert np.allclose(out.values.real, v.values, atol=1e-10)
+    out = v.convolve(rho)
+    assert np.allclose(out, v.values, atol=1e-10)
 
 
 def test_convolution_positivity():
@@ -200,8 +159,8 @@ def test_convolution_positivity():
     v = power_law_potential(g, 0.75)
     rng = np.random.default_rng(1)
     rho = np.abs(rng.standard_normal(g.shape))
-    out = convolve_potential(Field(g, rho.astype(complex)), v)
-    assert np.min(out.values.real) >= -1e-10
+    out = v.convolve(rho)
+    assert np.min(out) >= -1e-10
 
 
 def test_convolution_double_sum_oracle():
@@ -209,12 +168,12 @@ def test_convolution_double_sum_oracle():
     v = power_law_potential(g, 0.5)
     rng = np.random.default_rng(2)
     rho = np.abs(rng.standard_normal(16)) + 0.1
-    out = convolve_potential(Field(g, rho.astype(complex)), v)
+    out = v.convolve(rho)
     oracle = np.zeros(16)
     for i in range(16):
         for j in range(16):
             oracle[i] += g.h * v.values[(i - j) % 16] * rho[j]
-    assert np.allclose(out.values.real, oracle, atol=1e-10)
+    assert np.allclose(out, oracle, atol=1e-10)
 
 
 def test_convolution_linearity_and_translation():
@@ -223,21 +182,12 @@ def test_convolution_linearity_and_translation():
     rng = np.random.default_rng(3)
     r1 = np.abs(rng.standard_normal(64))
     r2 = np.abs(rng.standard_normal(64))
-    lhs = convolve_potential(Field(g, (2.0 * r1 + 3.0 * r2).astype(complex)), v).values
-    rhs = 2.0 * convolve_potential(Field(g, r1.astype(complex)), v).values + (
-        3.0 * convolve_potential(Field(g, r2.astype(complex)), v).values
-    )
+    lhs = v.convolve(2.0 * r1 + 3.0 * r2)
+    rhs = 2.0 * v.convolve(r1) + 3.0 * v.convolve(r2)
     assert np.allclose(lhs, rhs, atol=1e-10)
-    shifted = convolve_potential(Field(g, np.roll(r1, 3).astype(complex)), v).values
-    base = convolve_potential(Field(g, r1.astype(complex)), v).values
+    shifted = v.convolve(np.roll(r1, 3))
+    base = v.convolve(r1)
     assert np.allclose(shifted, np.roll(base, 3), atol=1e-10)
-
-
-def test_convolution_rejects_complex_density():
-    g = Grid(1, 16)
-    v = power_law_potential(g, 0.5)
-    with pytest.raises(ValueError):
-        convolve_potential(Field(g, 1j * np.ones(g.shape)), v)
 
 
 @pytest.mark.parametrize("dim,m", [(1, 6), (1, 8), (2, 6), (2, 8), (3, 6), (3, 8)])

@@ -2,6 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from references import (
+    absolute_value,
+    commutator_momentum,
+    commutator_position,
+    diagonal_density,
+    operator_norms,
+)
 
 from hflab.hartree_fock import SlaterState, density_matrix
 from hflab.lattice import (
@@ -9,8 +16,6 @@ from hflab.lattice import (
     Field,
     Grid,
     ScaledParams,
-    absolute_value,
-    operator_norms,
 )
 from hflab.potentials import gaussian_window
 from hflab.semiclassics import (
@@ -20,10 +25,7 @@ from hflab.semiclassics import (
     _position_commutator_densities,
     _range_factor,
     commutator_density_series,
-    commutator_momentum,
-    commutator_position,
     commutator_trace_norms,
-    diagonal_density,
     field_lp_norm,
     maximal_function,
     min_holder_p,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hflab.lattice import Grid, ScaledParams, inner
+from hflab.lattice import Grid, ScaledParams
 from hflab.states import (
     fermi_ball,
     gaussian_packet,
@@ -18,7 +18,7 @@ def test_plane_wave_orthonormal_family():
     for i, a in enumerate(waves):
         for j, b in enumerate(waves):
             expect = 1.0 if i == j else 0.0
-            assert abs(inner(a, b) - expect) < 1e-12
+            assert abs(g.cell_volume * np.vdot(a.values, b.values) - expect) < 1e-12
 
 
 def test_lowest_modes_deterministic_ties():
@@ -43,7 +43,7 @@ def test_fermi_ball_constant_density():
 def test_gaussian_packet_center_and_norm():
     g = Grid(1, 128)
     f = gaussian_packet(g, [g.length / 2], 0.25, (4,))
-    assert inner(f, f).real == pytest.approx(1.0, abs=1e-12)
+    assert f.norm() ** 2 == pytest.approx(1.0, abs=1e-12)
     peak = np.argmax(np.abs(f.values))
     assert abs(peak * g.h - g.length / 2) <= g.h
 
