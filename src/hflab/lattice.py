@@ -17,6 +17,12 @@ FIELD_SITE_CAP = 2**20
 DENSE_SIDE_CAP = 2**10
 HERMITIAN_TOL = 1e-12
 
+# Working-set budget of the diagnostics: the commutator spectra and the Fock
+# audits stack their multipliers or trials in blocks whose largest array holds
+# at most this many complex points (1 MiB), so no audit's transient memory
+# grows with its trial or window count.
+DIAGNOSTICS_CHUNK_POINTS = 2**16
+
 
 @dataclass(frozen=True)
 class Grid:

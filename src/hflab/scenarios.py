@@ -284,7 +284,7 @@ def scenario_hf_vs_exact(cfg: RunConfig) -> ScenarioResult:
 
 def scenario_fock_audit(cfg: RunConfig) -> ScenarioResult:
     records = fock_mod.audit_fock_operator_bounds(6, 1000, seed=cfg.seed)
-    audited = [r.max_slack for r in records if r.bound_id != "pair-creation-hs-printed"]
+    audited = [r.max_slack for r in records if r.bound_id != fock_mod.PRINTED_ID]
     pair = fock_mod.audit_window_pair_bound(Grid(1, 8, cfg.length), 3, 100, seed=cfg.seed)
     rows = [(r.bound_id, r.trials, r.max_slack) for r in records]
     rows.append(("window-pair-norm", pair["trials"], pair["max_slack_norm_vs_trace"]))

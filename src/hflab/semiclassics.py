@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from hflab import lattice
 from hflab.hartree_fock import SlaterState
 from hflab.lattice import Field
 from hflab.potentials import gaussian_window
@@ -81,12 +82,6 @@ def field_lp_norm(f: Field, p: float) -> float:
     return float((f.grid.cell_volume * np.sum(vals**p)) ** (1.0 / p))
 
 
-# Multipliers are stacked in chunks whose factors P and Q hold at most this
-# many complex points (16 MiB) each, so a full-rank omega at the dense cap
-# (2r = 2M) takes one multiplier at a time instead of stacking all windows.
-COMMUTATOR_CHUNK_POINTS = 2**20
-
-
 def _range_factor(omega):
     """(lam, E) with omega = E diag(lam) E^*.
 
@@ -115,13 +110,17 @@ def _commutator_spectra(factor, mults: np.ndarray, density: bool = False):
     singular values are the nonzero ones of [a, omega].  With K = U S W^*,
     |[a, omega]| = (Q_Q W) S (Q_Q W)^*, so with `density` the diagonal of
     |[a, omega]| is also returned, shape (len(mults), M); otherwise None.
+
+    Multipliers are stacked in chunks whose factors P and Q hold at most
+    `lattice.DIAGNOSTICS_CHUNK_POINTS` complex points each; a full-rank omega
+    at the dense cap (2r = 2M) takes one multiplier at a time.
     """
     lam, vecs = factor
     m, r = vecs.shape
     d = np.concatenate([lam, -lam])
     norms = np.empty(len(mults))
     diags = np.empty((len(mults), m)) if density else None
-    step = max(1, COMMUTATOR_CHUNK_POINTS // max(1, 2 * r * m))
+    step = max(1, lattice.DIAGNOSTICS_CHUNK_POINTS // max(1, 2 * r * m))
     for lo in range(0, len(mults), step):
         a = mults[lo : lo + step, :, None]
         e = np.broadcast_to(vecs, (len(a), m, r))

@@ -11,9 +11,12 @@ from references import annihilator, slater_vector
 
 from hflab.fock import (
     FockSpace,
+    _bound_slacks,
     _creators,
+    _draw_bound_trials,
     _quadratic,
     _sector_annihilators,
+    _trial_blocks,
     annihilate_orbital,
     audit_fock_operator_bounds,
     audit_window_pair_bound,
@@ -29,6 +32,7 @@ from hflab.fock import (
     ring_hamiltonian,
     second_quantized_hamiltonian,
 )
+from hflab import lattice
 from hflab.hartree_fock import loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
@@ -510,6 +514,59 @@ def test_pair_bound_audit_memory_is_sector_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def _traced_peak_mib(func) -> float:
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_audit_memory_is_on_the_diagnostics_budget():
+    # the fock-audit preset's call: measured 5.7 MiB, bounded with 40% margin;
+    # evaluating all 1000 trials at once took 29.5 MiB
+    assert _traced_peak_mib(lambda: audit_fock_operator_bounds(6, 1000, seed=5)) <= 8.0
+
+
+def test_pair_audit_memory_is_on_the_diagnostics_budget():
+    # the fock-audit preset's call: measured 5.5 MiB, bounded with 45% margin;
+    # evaluating all 100 trials at once took 13.3 MiB
+    assert _traced_peak_mib(lambda: audit_window_pair_bound(Grid(1, 8), 3, 100, seed=5)) <= 8.0
+
+
+def test_fock_audits_do_not_depend_on_the_budget(monkeypatch):
+    # 200 bound trials run in 2 blocks at the default budget, 200 at budget 1;
+    # 25 pair trials in 2 blocks in the 5-particle sector, 25 at budget 1
+    def audits():
+        return (audit_fock_operator_bounds(6, 200, seed=3),
+                audit_window_pair_bound(Grid(1, 8), 3, 25, seed=3))
+
+    default = audits()
+    monkeypatch.setattr(lattice, "DIAGNOSTICS_CHUNK_POINTS", 1)
+    assert audits() == default
+
+
+def test_bound_slacks_per_trial_do_not_depend_on_the_block():
+    space = FockSpace(6)
+    o, psi = _draw_bound_trials(np.random.default_rng(3), slice(0, 40), 6, space.dim)
+    whole = _bound_slacks(space, o, psi)
+    for size in (1, 3):
+        parts = [_bound_slacks(space, o[lo : lo + size], psi[lo : lo + size])
+                 for lo in range(0, 40, size)]
+        for bound, slack in whole.items():
+            assert np.array_equal(np.concatenate([p[bound] for p in parts]), slack), bound
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
+def test_trial_blocks_cover_every_trial_in_order(monkeypatch, budget):
+    monkeypatch.setattr(lattice, "DIAGNOSTICS_CHUNK_POINTS", budget)
+    for trials in range(12):
+        blocks = _trial_blocks(trials, 2)
+        assert [t for b in blocks for t in range(b.start, b.stop)] == list(range(trials))
+        assert all(b.stop - b.start <= max(1, budget // 2) for b in blocks)
 
 
 def test_exact_evolution_matches_dense_expm():

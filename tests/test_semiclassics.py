@@ -367,14 +367,28 @@ def test_slater_diagnostics_memory_past_dense_cap():
     assert np.isfinite(audit.fitted_constant) and np.isfinite(series["sup_over_n_eps"])
 
 
+def test_window_audit_3d_memory_is_on_the_diagnostics_budget():
+    # the window-audit preset's 3d state: measured 4.4 MiB, bounded with 35%
+    # margin; chunks of 2^20 points took 11.0 MiB
+    g = Grid(3, 8)
+    state = packet_slater(g, ScaledParams(4, 1.0), width=g.length / 8.0, centered=True)
+    tracemalloc.start()
+    try:
+        window_commutator_audit(state, DiagnosticsConfig(delta=0.1, lp_exponent=6.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
 def test_commutator_chunks_leave_results_unchanged(monkeypatch):
-    from hflab import semiclassics
+    from hflab import lattice
 
     g = Grid(1, 32)
     om = _omega("projection", g)
     cfg = DiagnosticsConfig(delta=0.1, position_convention=PERIODIC)
     # one multiplier per chunk, then the default budget (one chunk)
-    monkeypatch.setattr(semiclassics, "COMMUTATOR_CHUNK_POINTS", 1)
+    monkeypatch.setattr(lattice, "DIAGNOSTICS_CHUNK_POINTS", 1)
     chunked = window_commutator_audit(om, cfg)
     monkeypatch.undo()
     whole = window_commutator_audit(om, cfg)
