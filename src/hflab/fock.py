@@ -427,7 +427,18 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
 
 
 def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int) -> dict:
-    """Randomized check of ||B_{r,z}|| <= 2 tr|vbar chi u| <= 2 tr|[chi, omega]|.
+    """Randomized check of ||B_{r,z}|| <= 2 tr|v chi u| <= 2 tr|[chi, omega]|.
+
+    For orthonormal orbitals f_j, omega = sum_j |f_j><f_j|, u = 1 - omega and
+    v = sum_j |conj f_j><f_j|, the kernel sum_j conj f_j(x) conj f_j(y), as in
+    the particle-hole map R* a(g) R = a(u g) + a*(vbar gbar) of `particle_hole`.
+    With a(g) = sum_i conj(g_i) a_i, the pair operator
+    int chi(x) a(u_x) a(vbar_x) dx is sum_ij (ubar chi v)_ij a_i a_j, whose
+    matrix has the trace norm of o = v chi u.  Then v = v omega, ||v|| <= 1
+    and omega chi u = -omega [chi, omega], so
+    tr|v chi u| = tr|v omega [chi, omega]| <= tr|[chi, omega]|.  The
+    conjugate kernel vbar would bound tr|v chi ubar| instead, which
+    [chi, omega] does not control unless omega is real.
 
     B = sum_ij o_ij a_i a_j lowers the particle number by two, so B^* B is
     block diagonal and ||B|| = max_n ||B[S_{n-2}, S_n]||: the pair monomials
@@ -451,11 +462,11 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
         orbs = loewdin_orthonormalize(grid, raw).reshape(n_occupied, -1)
         omega = h * (orbs.T @ orbs.conj())
         u = np.eye(m) - omega
-        vbar = h * (orbs.T @ orbs)
+        v = h * np.conj(orbs.T @ orbs)
         radius = float(np.exp(rng.uniform(np.log(grid.h), np.log(grid.length / 2))))
         center = rng.uniform(0.0, grid.length, size=grid.dim)
         chi = np.diag(gaussian_window(grid, center, radius).reshape(-1))
-        o[trial] = vbar @ chi @ u
+        o[trial] = v @ chi @ u
         comm[trial] = chi @ omega - omega @ chi
     b_norm = np.full(trials, -np.inf)
     ann = _sector_annihilators(space)

@@ -293,10 +293,10 @@ def scenario_fock_audit(cfg: RunConfig) -> ScenarioResult:
         checks=[
             Check("max_slack", float(np.max(audited)), "<=", 1e-10),
             Check("pair_bound_slack", pair["max_slack_norm_vs_trace"], "<=", 1e-10),
+            Check("max_slack_trace_vs_commutator", pair["max_slack_trace_vs_commutator"],
+                  "<=", 1e-10),
         ],
         tables={"fock_bound_audit.csv": ("bound_id,trials,max_slack", rows)},
-        # the sign of this slack is open, so it is reported without a gate
-        report={"max_slack_trace_vs_commutator": pair["max_slack_trace_vs_commutator"]},
     )
 
 

@@ -139,8 +139,11 @@ def test_criterion_05_operator_bound_audit():
     pair = audit_window_pair_bound(Grid(1, 8), 3, 100, seed=2024)
     report(
         5,
-        worst <= 1e-10 and pair["max_slack_norm_vs_trace"] <= 1e-10,
-        f"bound slack {worst:.2e}, pair slack {pair['max_slack_norm_vs_trace']:.2e}",
+        worst <= 1e-10
+        and pair["max_slack_norm_vs_trace"] <= 1e-10
+        and pair["max_slack_trace_vs_commutator"] <= 1e-10,
+        f"bound slack {worst:.2e}, pair slack {pair['max_slack_norm_vs_trace']:.2e}, "
+        f"commutator slack {pair['max_slack_trace_vs_commutator']:.2e}",
     )
 
 

@@ -386,6 +386,18 @@ def test_bound_audit_no_violations():
 def test_pair_bound_audit():
     rep = audit_window_pair_bound(Grid(1, 8), 3, 30, seed=12)
     assert rep["max_slack_norm_vs_trace"] <= 1e-10
+    assert rep["max_slack_trace_vs_commutator"] <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+def test_pair_bound_chain_holds_with_the_conjugate_kernel(seed):
+    # complex orbitals tell v from its conjugate: with vbar chi u in place of
+    # v chi u the second link fails on every seed (slack +0.66 to +1.26)
+    grid = Grid(1, 8)
+    rep = audit_window_pair_bound(grid, 3, 100, seed=seed)
+    assert rep["max_slack_trace_vs_commutator"] <= 1e-10
+    conjugated = _window_pair_reference(grid, 3, 100, seed, conjugate_kernel=True)
+    assert conjugated["max_slack_trace_vs_commutator"] > 0.5
 
 
 BOUND_IDS = [
@@ -454,8 +466,12 @@ def test_bound_audit_matches_per_trial_reference(n_modes):
         assert abs(rec.max_slack - ref[rec.bound_id]) <= 1e-12, rec.bound_id
 
 
-def _window_pair_reference(grid, n_occupied, trials, seed):
-    """Per-trial loop with the full 2^m x 2^m pair operator and its dense norm."""
+def _window_pair_reference(grid, n_occupied, trials, seed, conjugate_kernel=False):
+    """Per-trial loop with the full 2^m x 2^m pair operator and its dense norm.
+
+    v = sum_j |conj f_j><f_j|; `conjugate_kernel` puts its complex conjugate
+    in its place, the matrix the chain does not bound.
+    """
     space = FockSpace(grid.site_count)
     rng = np.random.default_rng(seed)
     worst_first, worst_second = -np.inf, -np.inf
@@ -466,11 +482,11 @@ def _window_pair_reference(grid, n_occupied, trials, seed):
         h = grid.cell_volume
         omega = h * (orbs.T @ orbs.conj())
         u = np.eye(grid.site_count) - omega
-        vbar = h * (orbs.T @ orbs)
+        v = h * (orbs.T @ orbs) if conjugate_kernel else h * np.conj(orbs.T @ orbs)
         radius = float(np.exp(rng.uniform(np.log(grid.h), np.log(grid.length / 2))))
         center = rng.uniform(0.0, grid.length, size=grid.dim)
         chi = np.diag(gaussian_window(grid, center, radius).reshape(-1))
-        o = vbar @ chi @ u
+        o = v @ chi @ u
         b_norm = np.linalg.norm(pair_operator(space, o).toarray(), 2)
         tr_o = np.sum(np.linalg.svd(o, compute_uv=False))
         tr_comm = np.sum(np.linalg.svd(chi @ omega - omega @ chi, compute_uv=False))
