@@ -32,12 +32,11 @@ def charge_density(state: SlaterState) -> Field:
     return Field(state.grid, orbital_density(state.orbitals).astype(complex))
 
 
-def kinetic_trace(state: SlaterState, epsilon_scaled: bool) -> float:
-    """tr(-eps^2 Lap) omega when scaled, tr(-Lap) omega otherwise."""
+def kinetic_trace(state: SlaterState) -> float:
+    """tr(-Lap) omega; the scaled kinetic energy is eps^2 times it."""
     g = state.grid
     hat = scipy.fft.fftn(state.orbitals, axes=tuple(range(1, g.dim + 1)))
-    plain = laplacian_trace(g, hat)
-    return float(state.params.epsilon**2 * plain if epsilon_scaled else plain)
+    return float(laplacian_trace(g, hat))
 
 
 def pair_energy(rho: Field, potential: PowerLawPotential, n_particles: int) -> float:
@@ -55,10 +54,6 @@ class ChainLink:
     name: str
     lhs: float
     rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
     @property
     def holds(self) -> bool:
@@ -111,7 +106,7 @@ def energy_report(state: SlaterState, potential: PowerLawPotential) -> EnergyRep
     l1 = field_lp_norm(rho, 1.0)
     l53 = field_lp_norm(rho, 5.0 / 3.0)
     lq = field_lp_norm(rho, hls_index(potential.alpha))
-    kinetic_plain = kinetic_trace(state, epsilon_scaled=False)  # one transform serves both
+    kinetic_plain = kinetic_trace(state)  # one transform serves both
     kinetic_scaled = p.epsilon**2 * kinetic_plain
     pair = pair_energy(rho, potential, p.n_particles)
     hls_ratio = pair / (lq**2 / p.n_particles) if lq > 0 else np.inf

@@ -25,21 +25,11 @@ PLAIN = "plain"
 PERIODIC = "periodic"
 
 
-def min_holder_p(alpha: float, delta: float) -> float:
-    """Smallest admissible Lp index for the commutator-density budget."""
-    denom = 3.0 - 2.0 * alpha - 6.0 * delta
-    if denom <= 0:
-        raise ValueError("no admissible p: need 3 - 2*alpha - 6*delta > 0")
-    return 6.0 / denom
-
-
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     """Exponent block for the commutator diagnostics.
 
-    delta in (0, 1/2); lp_exponent is the Lp index of the density-norm budget
-    (conjugate q is derived).  `admissible_for` checks the Hoelder constraint
-    p > 6 / (3 - 2*alpha - 6*delta) for a given interaction exponent.
+    delta in (0, 1/2); lp_exponent is the Lp index of the density-norm budget.
     """
 
     delta: float = 0.1
@@ -53,16 +43,6 @@ class DiagnosticsConfig:
             raise ValueError("lp_exponent must exceed 1")
         if self.position_convention not in (PLAIN, PERIODIC):
             raise ValueError("position convention must be 'plain' or 'periodic'")
-
-    @property
-    def q_exponent(self) -> float:
-        return self.lp_exponent / (self.lp_exponent - 1.0)
-
-    def admissible_for(self, alpha: float) -> bool:
-        try:
-            return self.lp_exponent > min_holder_p(alpha, self.delta)
-        except ValueError:
-            return False
 
 
 def _position_multiplier(g, axis: int, convention: str):

@@ -1,8 +1,10 @@
-"""Dense reference implementations the tests compare the library against.
+"""Reference implementations the tests compare the library against.
 
-Nothing in `hflab` calls these: each builds the full operator (an M x M
-matrix on the grid, or a 2^m vector in Fock space) that the library avoids,
-so a test can check the library's answer against the textbook formula.
+Nothing in `hflab` calls these.  The dense ones build the full operator (an
+M x M matrix on the grid, or a 2^m vector in Fock space) that the library
+avoids, so a test can check the library's answer against the textbook
+formula; the exponent helpers state the Hoelder constraint of the
+commutator-density budget.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy import sparse
 
 from hflab.fock import FockSpace
 from hflab.lattice import DenseOperator, Field, spectral_multiplier_operator
-from hflab.semiclassics import PLAIN, _position_multiplier
+from hflab.semiclassics import PLAIN, DiagnosticsConfig, _position_multiplier
 
 
 def operator_norms(op: DenseOperator) -> dict:
@@ -78,3 +80,24 @@ def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     psi = np.zeros(space.dim, dtype=complex)
     psi[sum(1 << s for s in occupied)] = 1.0
     return psi
+
+
+def min_holder_p(alpha: float, delta: float) -> float:
+    """Smallest admissible Lp index 6 / (3 - 2 alpha - 6 delta) of the commutator-density budget."""
+    denom = 3.0 - 2.0 * alpha - 6.0 * delta
+    if denom <= 0:
+        raise ValueError("no admissible p: need 3 - 2*alpha - 6*delta > 0")
+    return 6.0 / denom
+
+
+def conjugate_exponent(p: float) -> float:
+    """Hoelder conjugate q = p / (p - 1)."""
+    return p / (p - 1.0)
+
+
+def admissible_for(config: DiagnosticsConfig, alpha: float) -> bool:
+    """Whether the config's Lp index meets the Hoelder constraint for exponent alpha."""
+    try:
+        return config.lp_exponent > min_holder_p(alpha, config.delta)
+    except ValueError:
+        return False

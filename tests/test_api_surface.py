@@ -1,9 +1,17 @@
-"""Every public module-level function and class of `src/hflab` has a caller.
+"""Every public definition of `src/hflab` has a caller.
 
-A caller is a reference in `src/hflab` or `perfbench` outside the name's own
-definition: a `Name`, an `Attribute` or an imported name.  Strings and
+Module level: each public function and class.  Class level: each public
+method and property (dataclass fields are data, not callers' targets).  A
+caller is a reference in `src/hflab` or `perfbench` outside the name's own
+definition: a `Name`, an `Attribute` or an imported name for module-level
+definitions, an `Attribute` for methods and properties.  Strings and
 docstrings do not count, and neither do the tests: code that only tests call
 belongs in the tests.
+
+Methods are matched by attribute name, not by type: `Field.norm` counts as
+called wherever any `.norm` is read (`np.linalg.norm` included).  The check
+therefore finds methods whose name nothing reads, and cannot see a method
+whose name other objects share.
 """
 
 import ast
@@ -26,18 +34,42 @@ def _references(node) -> Counter:
     return names
 
 
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _public(nodes, kinds) -> list:
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _trees() -> dict:
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+def _library(trees: dict) -> dict:
+    return {path: tree for path, tree in trees.items() if path.parent.name == "hflab"}
+
+
 def _uncalled() -> list:
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    trees = _trees()
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = []
-    for path, tree in trees.items():
-        if path.parent.name != "hflab":
-            continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+    for path, tree in _library(trees).items():
+        for node in _public(tree.body, (ast.FunctionDef, ast.ClassDef)):
             if everywhere[node.name] - _references(node)[node.name] <= 0:
                 uncalled.append(f"{path.stem}.{node.name}")
+    return uncalled
+
+
+def _uncalled_members() -> list:
+    trees = _trees()
+    everywhere = sum((_attributes(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for path, tree in _library(trees).items():
+        for cls in _public(tree.body, ast.ClassDef):
+            for node in _public(cls.body, ast.FunctionDef):
+                if everywhere[node.name] - _attributes(node)[node.name] <= 0:
+                    uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
     return uncalled
 
 
@@ -48,3 +80,26 @@ def test_sources_found():
 
 def test_every_public_definition_has_a_caller():
     assert _uncalled() == []
+
+
+def test_every_public_method_and_property_has_a_caller():
+    assert _uncalled_members() == []
+
+
+def test_member_scan_sees_methods_and_properties():
+    tree = ast.parse(
+        "class A:\n"
+        "    x: int = 0\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return self.x\n"
+        "    def m(self):\n"
+        "        return self.m\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+    )
+    (cls,) = tree.body
+    members = _public(cls.body, ast.FunctionDef)
+    assert [node.name for node in members] == ["p", "m"]
+    # a method's reference to itself does not count as a caller
+    assert [_attributes(tree)[n.name] - _attributes(n)[n.name] for n in members] == [0, 0]

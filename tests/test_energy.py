@@ -62,7 +62,7 @@ def test_kinetic_trace_dense_matches_state():
     # tr(-Lap) omega with both factors dense
     lap = spectral_multiplier_operator(g, g.momentum_squared()).matrix
     dense = np.trace(lap @ density_matrix(st).matrix).real
-    assert dense == pytest.approx(kinetic_trace(st, False), abs=1e-8)
+    assert dense == pytest.approx(kinetic_trace(st), abs=1e-8)
 
 
 def test_lt_ratio_regression_fermi_ball():
@@ -227,4 +227,4 @@ def test_hf_energy_and_kinetic_trace_share_one_kinetic_term():
     for g in (Grid(1, 32), Grid(3, 8)):
         st = random_slater(g, ScaledParams(3, 0.5), np.random.default_rng(2))
         free = dataclasses.replace(power_law_potential(g, 0.5), values=np.zeros(g.shape))
-        assert hf_energy(st, free) == kinetic_trace(st, True)
+        assert hf_energy(st, free) == st.params.epsilon**2 * kinetic_trace(st)

