@@ -16,9 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from hflab import lattice
 from hflab.hartree_fock import density_matrix, loewdin_orthonormalize, run_hf, slater_state
-from hflab.lattice import Grid, ScaledParams, kinetic_operator
+from hflab.lattice import Grid, ScaledParams, diagnostic_chunks, kinetic_operator
 from hflab.potentials import PowerLawPotential, gaussian_window, power_law_potential
 from hflab.states import lowest_modes, plane_wave
 
@@ -321,12 +320,6 @@ def _sector_annihilators(space: FockSpace) -> list:
     return blocks
 
 
-def _trial_blocks(trials: int, points: int) -> list:
-    """Consecutive trial slices whose (trials, points) arrays fit the diagnostics budget."""
-    size = max(1, lattice.DIAGNOSTICS_CHUNK_POINTS // points)
-    return [slice(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-
-
 def _draw_bound_trials(rng, block: slice, m: int, dim: int) -> tuple:
     """The (O, psi) of the trials in `block`, drawn in trial order from one stream."""
     o = np.empty((block.stop - block.start, m, m), dtype=complex)
@@ -346,8 +339,9 @@ def _draw_bound_trials(rng, block: slice, m: int, dim: int) -> tuple:
 def _bound_slacks(space: FockSpace, o: np.ndarray, psi: np.ndarray) -> dict:
     """Per-trial slack of every audited bound for one block of (O, psi).
 
-    Through the dense annihilator stack a_stack[(i, r), c] = (A_i)_rc and
-    a_dag_stack[(i, r), c] = (A_i^*)_rc, dGamma(O) psi = sum_i A_i^* (sum_j O_ij A_j psi), the annihilation pair
+    Through the dense stacks a_stack[(i, r), c] = (A_i)_rc and
+    a_dag_stack[(i, r), c] = (A_i^*)_rc, dGamma(O) psi =
+    sum_i A_i^* (sum_j O_ij A_j psi), the annihilation pair
     sum_i A_i (sum_j O_ij A_j psi) and the creation pair
     sum_i A_i^* (sum_j O_ij A_j^* psi) are each a pair of matrix products.
     """
@@ -405,7 +399,7 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
     psi = Omega: the left side is ||antisym(O)|| > 0, the right side is zero),
     so its worst violation is reported separately as a sharpness note.
 
-    The trials run in blocks of `_trial_blocks`, whose (trials, m 2^m) arrays
+    The trials run in `diagnostic_chunks`, blocks whose (trials, m 2^m) arrays
     fit the diagnostics budget: a block's (O, psi) are drawn in trial order
     from the one stream, its slacks are evaluated through the dense
     annihilator stack A (m 2^m, 2^m), and only the running maxima are kept.
@@ -416,7 +410,7 @@ def audit_fock_operator_bounds(n_modes: int, trials: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     m, dim = n_modes, space.dim
     worst = dict.fromkeys(BOUND_IDS, -np.inf)
-    for block in _trial_blocks(trials, m * dim):
+    for block in diagnostic_chunks(trials, m * dim):
         o, psi = _draw_bound_trials(rng, block, m, dim)
         for bound, slack in _bound_slacks(space, o, psi).items():
             worst[bound] = np.maximum(worst[bound], np.max(slack))  # a NaN slack stays NaN
@@ -436,15 +430,16 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
     int chi(x) a(u_x) a(vbar_x) dx is sum_ij (ubar chi v)_ij a_i a_j, whose
     matrix has the trace norm of o = v chi u.  Then v = v omega, ||v|| <= 1
     and omega chi u = -omega [chi, omega], so
-    tr|v chi u| = tr|v omega [chi, omega]| <= tr|[chi, omega]|.  The
-    conjugate kernel vbar would bound tr|v chi ubar| instead, which
-    [chi, omega] does not control unless omega is real.
+    tr|v chi u| = tr|v omega [chi, omega]| <= tr|[chi, omega]|.  With the
+    conjugate kernel vbar in place of v the audit would measure
+    tr|vbar chi u| = tr|v chi ubar|, which [chi, omega] does not control
+    unless omega is real.
 
     B = sum_ij o_ij a_i a_j lowers the particle number by two, so B^* B is
     block diagonal and ||B|| = max_n ||B[S_{n-2}, S_n]||: the pair monomials
     are built only on those sector blocks, and the norm is the largest block
-    singular value.  Within a sector the trials run in blocks of
-    `_trial_blocks`, and each trial's real and imaginary parts meet the real
+    singular value.  Within a sector the trials run in `diagnostic_chunks`,
+    and each trial's real and imaginary parts meet the real
     monomial matrix in one real product of its own: the monomials are never
     copied to complex, and a trial's bits do not depend on its block.
     """
@@ -476,7 +471,7 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
         mono = np.matmul(ann[n - 1][:, None], ann[n][None, :])
         rows, cols = mono.shape[2:]
         mono = mono.reshape(m * m, rows * cols)
-        for block in _trial_blocks(trials, rows * cols):
+        for block in diagnostic_chunks(trials, rows * cols):
             part = flat[block]
             re_im = np.stack([part.real, part.imag], axis=1) @ mono
             pairs = np.empty((len(part), rows, cols), dtype=complex)

@@ -18,10 +18,17 @@ DENSE_SIDE_CAP = 2**10
 HERMITIAN_TOL = 1e-12
 
 # Working-set budget of the diagnostics: the commutator spectra and the Fock
-# audits stack their multipliers or trials in blocks whose largest array holds
-# at most this many complex points (1 MiB), so no audit's transient memory
-# grows with its trial or window count.
+# audits stack their multipliers or trials in chunks whose arrays hold at most
+# this many complex points (1 MiB) each, so no audit's transient memory grows
+# with its trial or window count.
 DIAGNOSTICS_CHUNK_POINTS = 2**16
+
+
+def diagnostic_chunks(count: int, points: int) -> list:
+    """Consecutive slices of `count` items stacking `points` complex points each,
+    at most DIAGNOSTICS_CHUNK_POINTS per slice (one item when one alone is more)."""
+    size = max(1, DIAGNOSTICS_CHUNK_POINTS // max(1, points))
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 @dataclass(frozen=True)

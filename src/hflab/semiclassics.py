@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from hflab import lattice
 from hflab.hartree_fock import SlaterState
-from hflab.lattice import Field
+from hflab.lattice import Field, diagnostic_chunks
 from hflab.potentials import gaussian_window
 
 PLAIN = "plain"
@@ -91,18 +90,17 @@ def _commutator_spectra(factor, mults: np.ndarray, density: bool = False):
     |[a, omega]| = (Q_Q W) S (Q_Q W)^*, so with `density` the diagonal of
     |[a, omega]| is also returned, shape (len(mults), M); otherwise None.
 
-    Multipliers are stacked in chunks whose factors P and Q hold at most
-    `lattice.DIAGNOSTICS_CHUNK_POINTS` complex points each; a full-rank omega
-    at the dense cap (2r = 2M) takes one multiplier at a time.
+    Multipliers are stacked in `diagnostic_chunks`, whose factors P and Q fit
+    the diagnostics budget; a full-rank omega at the dense cap (2r = 2M)
+    takes one multiplier at a time.
     """
     lam, vecs = factor
     m, r = vecs.shape
     d = np.concatenate([lam, -lam])
     norms = np.empty(len(mults))
     diags = np.empty((len(mults), m)) if density else None
-    step = max(1, lattice.DIAGNOSTICS_CHUNK_POINTS // max(1, 2 * r * m))
-    for lo in range(0, len(mults), step):
-        a = mults[lo : lo + step, :, None]
+    for chunk in diagnostic_chunks(len(mults), 2 * r * m):
+        a = mults[chunk, :, None]
         e = np.broadcast_to(vecs, (len(a), m, r))
         r_p = np.linalg.qr(np.concatenate([a * vecs, e], axis=2), mode="r")
         q_q, r_q = np.linalg.qr(np.concatenate([e, a.conj() * vecs], axis=2))
@@ -110,10 +108,10 @@ def _commutator_spectra(factor, mults: np.ndarray, density: bool = False):
         if density:
             _, sv, wh = np.linalg.svd(core)
             basis = q_q @ wh.conj().swapaxes(1, 2)
-            diags[lo : lo + step] = (np.abs(basis) ** 2 @ sv[:, :, None])[:, :, 0]
+            diags[chunk] = (np.abs(basis) ** 2 @ sv[:, :, None])[:, :, 0]
         else:
             sv = np.linalg.svd(core, compute_uv=False)
-        norms[lo : lo + step] = np.sum(sv, axis=1)
+        norms[chunk] = np.sum(sv, axis=1)
     return norms, diags
 
 

@@ -16,7 +16,6 @@ from hflab.fock import (
     _draw_bound_trials,
     _quadratic,
     _sector_annihilators,
-    _trial_blocks,
     annihilate_orbital,
     audit_fock_operator_bounds,
     audit_window_pair_bound,
@@ -574,15 +573,6 @@ def test_bound_slacks_per_trial_do_not_depend_on_the_block():
                  for lo in range(0, 40, size)]
         for bound, slack in whole.items():
             assert np.array_equal(np.concatenate([p[bound] for p in parts]), slack), bound
-
-
-@pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
-def test_trial_blocks_cover_every_trial_in_order(monkeypatch, budget):
-    monkeypatch.setattr(lattice, "DIAGNOSTICS_CHUNK_POINTS", budget)
-    for trials in range(12):
-        blocks = _trial_blocks(trials, 2)
-        assert [t for b in blocks for t in range(b.start, b.stop)] == list(range(trials))
-        assert all(b.stop - b.start <= max(1, budget // 2) for b in blocks)
 
 
 def test_exact_evolution_matches_dense_expm():

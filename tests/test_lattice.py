@@ -3,12 +3,14 @@ import pytest
 import scipy.fft
 from references import absolute_value, operator_norms
 
+from hflab import lattice
 from hflab.hartree_fock import _gram
 from hflab.lattice import (
     DenseOperator,
     Field,
     Grid,
     ScaledParams,
+    diagnostic_chunks,
     kinetic_operator,
     normalized,
     projection_from_orbitals,
@@ -206,3 +208,12 @@ def test_dense_cap_enforced():
 def test_field_site_cap_enforced():
     with pytest.raises(ValueError):
         Grid(3, 128)  # 2^21 sites exceeds the field cap
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
+def test_diagnostic_chunks_cover_every_item_in_order(monkeypatch, budget):
+    monkeypatch.setattr(lattice, "DIAGNOSTICS_CHUNK_POINTS", budget)
+    for count in range(12):
+        chunks = diagnostic_chunks(count, 2)
+        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(count))
+        assert all(c.stop - c.start <= max(1, budget // 2) for c in chunks)
