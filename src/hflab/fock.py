@@ -320,6 +320,16 @@ def _sector_annihilators(space: FockSpace) -> list:
     return blocks
 
 
+def _rows_times_real(z: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """z @ real for complex rows z, as one real product per row on its (re, im) pairs.
+
+    The real matrix is never copied to complex, and each row is its own
+    call, so a row's bits do not depend on how many rows share the block.
+    """
+    pairs = np.ascontiguousarray(z).view(float).reshape(len(z), -1, 2)
+    return (real.T @ pairs).view(complex)[..., 0]
+
+
 def _draw_bound_trials(rng, block: slice, m: int, dim: int) -> tuple:
     """The (O, psi) of the trials in `block`, drawn in trial order from one stream."""
     o = np.empty((block.stop - block.start, m, m), dtype=complex)
@@ -343,11 +353,12 @@ def _bound_slacks(space: FockSpace, o: np.ndarray, psi: np.ndarray) -> dict:
     a_dag_stack[(i, r), c] = (A_i^*)_rc, dGamma(O) psi =
     sum_i A_i^* (sum_j O_ij A_j psi), the annihilation pair
     sum_i A_i (sum_j O_ij A_j psi) and the creation pair
-    sum_i A_i^* (sum_j O_ij A_j^* psi) are each a pair of matrix products.
+    sum_i A_i^* (sum_j O_ij A_j^* psi) are each a pair of matrix products,
+    the stacks' through `_rows_times_real`.
     """
     trials, m = o.shape[:2]
-    a_stack = space.annihilators.toarray().astype(complex)
-    a_dag_stack = _creators(space).toarray().astype(complex)
+    a_stack = space.annihilators.toarray()
+    a_dag_stack = _creators(space).toarray()
     occ = space.occupations().astype(float)
     occ = np.stack([occ, occ**2, occ + 2.0], axis=1)
     o_psd = o @ o.conj().transpose(0, 2, 1)
@@ -356,22 +367,19 @@ def _bound_slacks(space: FockSpace, o: np.ndarray, psi: np.ndarray) -> dict:
     op_norm, tr_abs = sing[:, 0], np.sum(sing, axis=1)
     hs = np.linalg.norm(o, axis=(1, 2))
 
-    # each trial's products are their own matrix-vector calls, so its bits do
-    # not depend on the block it runs in
-    psi = psi[:, None, :]
-    ann = (psi @ a_stack.T).reshape(trials, m, -1)  # A_j psi
-    cre = (psi @ a_dag_stack.T).reshape(trials, m, -1)  # A_j^* psi
-    inner = (o @ ann).reshape(trials, 1, -1)
-    dg = (inner @ a_stack)[:, 0]  # sum_i A_i^* inner_i
-    pa = (inner @ a_dag_stack)[:, 0]  # sum_i A_i inner_i
-    pc = ((o @ cre).reshape(trials, 1, -1) @ a_stack)[:, 0]
+    ann = _rows_times_real(psi, a_stack.T).reshape(trials, m, -1)  # A_j psi
+    cre = _rows_times_real(psi, a_dag_stack.T).reshape(trials, m, -1)  # A_j^* psi
+    inner = (o @ ann).reshape(trials, -1)
+    dg = _rows_times_real(inner, a_stack)  # sum_i A_i^* inner_i
+    pa = _rows_times_real(inner, a_dag_stack)  # sum_i A_i inner_i
+    pc = _rows_times_real((o @ cre).reshape(trials, -1), a_stack)
     # <psi, dGamma(O) psi> = tr(O gamma) with gamma_ij = <A_j psi, A_i psi>
     gamma = ann @ ann.conj().transpose(0, 2, 1)
     exp_dg = np.einsum("tij,tji->t", o, gamma)
     exp_dg_psd = np.einsum("tij,tji->t", o_psd, gamma)
 
     # <N>, <N^2> and <N + 2> of every trial
-    n_exp, n_sq, n_p2 = (np.abs(psi) ** 2 @ occ)[:, 0].T
+    n_exp, n_sq, n_p2 = (np.abs(psi[:, None, :]) ** 2 @ occ)[:, 0].T
     n_psi = np.sqrt(n_sq)
     sqrt_n_psi = np.sqrt(n_exp)
     sqrt_n_p2_psi = np.sqrt(n_p2)
@@ -439,9 +447,7 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
     block diagonal and ||B|| = max_n ||B[S_{n-2}, S_n]||: the pair monomials
     are built only on those sector blocks, and the norm is the largest block
     singular value.  Within a sector the trials run in `diagnostic_chunks`,
-    and each trial's real and imaginary parts meet the real
-    monomial matrix in one real product of its own: the monomials are never
-    copied to complex, and a trial's bits do not depend on its block.
+    and `_rows_times_real` keeps the monomial matrix real.
     """
     if grid.site_count > 8:
         raise ValueError("dense pair-bound audit supported up to 8 modes")
@@ -472,10 +478,7 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
         rows, cols = mono.shape[2:]
         mono = mono.reshape(m * m, rows * cols)
         for block in diagnostic_chunks(trials, rows * cols):
-            part = flat[block]
-            re_im = np.stack([part.real, part.imag], axis=1) @ mono
-            pairs = np.empty((len(part), rows, cols), dtype=complex)
-            pairs.real, pairs.imag = re_im.reshape(-1, 2, rows, cols).swapaxes(0, 1)
+            pairs = _rows_times_real(flat[block], mono).reshape(-1, rows, cols)
             b_norm[block] = np.maximum(b_norm[block], np.linalg.norm(pairs, 2, axis=(1, 2)))
     tr_o = np.sum(np.linalg.svd(o, compute_uv=False), axis=1)
     tr_comm = np.sum(np.linalg.svd(comm, compute_uv=False), axis=1)
