@@ -353,8 +353,8 @@ def _bound_slacks(space: FockSpace, o: np.ndarray, psi: np.ndarray) -> dict:
     a_dag_stack[(i, r), c] = (A_i^*)_rc, dGamma(O) psi =
     sum_i A_i^* (sum_j O_ij A_j psi), the annihilation pair
     sum_i A_i (sum_j O_ij A_j psi) and the creation pair
-    sum_i A_i^* (sum_j O_ij A_j^* psi) are each a pair of matrix products,
-    the stacks' through `_rows_times_real`.
+    sum_i A_i^* (sum_j O_ij A_j^* psi) are each a pair of matrix products;
+    those with a stack go through `_rows_times_real`.
     """
     trials, m = o.shape[:2]
     a_stack = space.annihilators.toarray()

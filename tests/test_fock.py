@@ -541,15 +541,15 @@ def _traced_peak_mib(func) -> float:
 
 
 def test_bound_audit_memory_is_on_the_diagnostics_budget():
-    # the fock-audit preset's call: measured 5.7 MiB, bounded with 40% margin;
+    # the fock-audit preset's call: measured 5.3 MiB, bounded with 40% margin;
     # evaluating all 1000 trials at once took 29.5 MiB
-    assert _traced_peak_mib(lambda: audit_fock_operator_bounds(6, 1000, seed=5)) <= 8.0
+    assert _traced_peak_mib(lambda: audit_fock_operator_bounds(6, 1000, seed=5)) <= 7.5
 
 
 def test_pair_audit_memory_is_on_the_diagnostics_budget():
-    # the fock-audit preset's call: measured 5.5 MiB, bounded with 45% margin;
+    # the fock-audit preset's call: measured 4.4 MiB, bounded with 35% margin;
     # evaluating all 100 trials at once took 13.3 MiB
-    assert _traced_peak_mib(lambda: audit_window_pair_bound(Grid(1, 8), 3, 100, seed=5)) <= 8.0
+    assert _traced_peak_mib(lambda: audit_window_pair_bound(Grid(1, 8), 3, 100, seed=5)) <= 6.0
 
 
 def test_fock_audits_do_not_depend_on_the_budget(monkeypatch):
