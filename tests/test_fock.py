@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from references import annihilator, slater_vector
 
+from hflab import lattice
 from hflab.fock import (
     FockSpace,
     _bound_slacks,
@@ -31,7 +32,6 @@ from hflab.fock import (
     ring_hamiltonian,
     second_quantized_hamiltonian,
 )
-from hflab import lattice
 from hflab.hartree_fock import loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
