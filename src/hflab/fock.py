@@ -16,7 +16,10 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from hflab.hartree_fock import density_matrix, loewdin_orthonormalize, run_hf, slater_state
+from hflab.hartree_fock import (
+    CHEBYSHEV_MAX_PHASE, _normalization, chebyshev_expm, density_matrix, loewdin_orthonormalize,
+    run_hf, slater_state,
+)
 from hflab.lattice import Grid, ScaledParams, diagnostic_chunks, kinetic_operator
 from hflab.potentials import PowerLawPotential, gaussian_window, power_law_potential
 from hflab.states import lowest_modes, plane_wave
@@ -104,10 +107,6 @@ def create_orbital(space: FockSpace, f: np.ndarray) -> sparse.csr_matrix:
     return annihilate_orbital(space, f).conj().T.tocsr()
 
 
-def number_operator(space: FockSpace) -> sparse.csr_matrix:
-    return sparse.diags(space.occupations().astype(float)).tocsr()
-
-
 def dgamma(space: FockSpace, one_body: np.ndarray) -> sparse.csr_matrix:
     """Second quantization sum_ij O_ij a_i^* a_j = A^* (O x I) A of a mode-space operator."""
     return _quadratic(space, one_body, space.annihilators, space.annihilators)
@@ -189,10 +188,20 @@ def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
                  n_steps: int, epsilon: float, snapshot_every: int | None = None):
     """exp(-i H t / eps) psi at every `snapshot_every` steps and at the end.
 
-    One expm_multiply (Al-Mohy & Higham) goes straight from one report time to
-    the next; scipy.sparse.linalg is imported here, not when hflab loads.
+    The HF step's `chebyshev_expm` goes straight from one report time to the
+    next, with no time step.  The interval [c - r, c + r] holds the Gershgorin
+    discs of H (diagonal +- off-diagonal row sums of |H|) and is taken once;
+    each report's phase tau r is cut into equal series of at most
+    CHEBYSHEV_MAX_PHASE, so no series meets the degree cap.
     """
-    from scipy.sparse.linalg import expm_multiply
+    diag = ham.diagonal().real
+    discs = abs(ham).sum(axis=1).A1 - np.abs(diag)
+    lo, hi = np.min(diag - discs), np.max(diag + discs)
+    centre, radius, factor = _normalization(lo, hi)
+    normalized = (ham - centre * sparse.identity(ham.shape[0], format="csr")) * factor
+
+    def apply(rows):  # A = 2 (H - c) / r on each row
+        return (normalized @ rows.T).T
 
     if snapshot_every is None:
         snapshot_every = max(1, n_steps)
@@ -200,7 +209,12 @@ def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
     current = psi
     for done in range(0, n_steps, snapshot_every):
         step = min(done + snapshot_every, n_steps)
-        current = expm_multiply((-1j * (step - done) * dt / epsilon) * ham, current)
+        tau = (step - done) * dt / epsilon
+        pieces = max(1, int(np.ceil(tau * radius / CHEBYSHEV_MAX_PHASE)))
+        block = np.array(current[None, :], dtype=complex)  # a series consumes its block
+        for _ in range(pieces):
+            block = chebyshev_expm(apply, block, tau / pieces, centre, radius)
+        current = block[0]
         snaps.append((step * dt, current))
     return snaps
 
@@ -235,7 +249,6 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     stride = max(1, n_steps // n_snapshots)
     fock_snaps = evolve_exact(ham, psi, dt, n_steps, params.epsilon, stride)
     hf_snaps, _ = run_hf(initial, potential, dt, n_steps, stride)
-    nop = number_operator(space)
     times, series, hs_list = [], [], []
     identity_err = 0.0
     ref = particle_hole(space, range(n_particles))
@@ -248,7 +261,7 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         lift = lift_unitary(space, w_t)
         # chi = r_t^* psi_t for r_t = lift ref lift^*, with ref a real signed permutation
         chi = lift @ (ref.T @ (lift.conj().T @ psi_t))
-        direct = float(np.real(np.vdot(chi, nop @ chi)))
+        direct = float(np.real(np.vdot(chi, space.occupations() * chi)))
         identity_err = max(identity_err, abs(direct - n_val))
         times.append(t)
         series.append(n_val)

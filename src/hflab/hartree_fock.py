@@ -46,6 +46,9 @@ GRAM_ABORT = 1e-6
 # Truncation bound of the Chebyshev propagator, and the degree past which it raises.
 CHEBYSHEV_TOL = 1e-13
 CHEBYSHEV_MAX_DEGREE = 40
+# Largest phase tau r one series of a split propagation spans: degree 40 reaches
+# tau r = 15.589..., so a series of this phase never meets the cap.
+CHEBYSHEV_MAX_PHASE = 15.5
 # Exchange forms pair densities a chunk of frozen orbitals at a time in one
 # buffer reused for every chunk.  It holds at most this many complex points
 # (8 MiB) or one orbital block when the block alone is larger.  On a 3d m=32
@@ -250,7 +253,7 @@ def _chebyshev_coefficients(z):
     return coeffs
 
 
-def _chebyshev_expm(apply, block, tau, centre, radius):
+def chebyshev_expm(apply, block, tau, centre, radius):
     """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series.
 
     H is Hermitian with its spectrum in [c - r, c + r]; `apply` returns A b as a
@@ -427,7 +430,7 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
     midpoint_field, centre, radius = frozen_field(f_mid, potential, g, p.n_particles)
     del f_mid  # the frozen operator holds no reference; freed, it lowers the propagator peak
 
-    f2 = _chebyshev_expm(midpoint_field, f1, dt / p.epsilon, centre, radius)  # consumes f1
+    f2 = chebyshev_expm(midpoint_field, f1, dt / p.epsilon, centre, radius)  # consumes f1
     del f1
 
     f3 = kinetic(f2, g, phase_time)

@@ -80,43 +80,37 @@ class Grid:
         """Discrete momenta 2*pi*n/length for n in [-m/2, m/2)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.m, d=self.h)
 
+    def _broadcast(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Per-site `values` along `axis` as a read-only view shaped like a field."""
+        return np.broadcast_to(values.reshape((-1,) + (1,) * (self.dim - 1 - axis)), self.shape)
+
     def coordinate_mesh(self, axis: int) -> np.ndarray:
         """Coordinate of every site along `axis`, shaped like a field."""
-        x = self.axis_coordinates()
-        mesh = [np.ones(self.m)] * self.dim
-        mesh[axis] = x
-        out = mesh[0]
-        for a in mesh[1:]:
-            out = np.multiply.outer(out, a)
-        return out
+        return self._broadcast(self.axis_coordinates(), axis)
 
-    def displacement_mesh(self) -> list:
-        """Minimum-image signed displacement from the origin, one array per axis."""
-        idx = np.arange(self.m)
-        signed = ((idx + self.m // 2) % self.m - self.m // 2) * self.h
-        out = []
+    def squared_distance_from(self, center) -> np.ndarray:
+        """Field of squared minimum-image distances |x - center|^2, one coordinate per axis."""
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        if center.shape != (self.dim,):
+            raise ValueError(f"center needs one coordinate per axis, got shape {center.shape}")
+        half = self.length / 2.0
+        d2 = np.zeros(self.shape)
         for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.m
-            out.append(np.broadcast_to(signed.reshape(shape), self.shape))
-        return out
+            delta = np.mod(self.axis_coordinates() - center[axis] + half, self.length) - half
+            d2 = d2 + self._broadcast(delta, axis) ** 2
+        return d2
 
     def min_image_distance(self) -> np.ndarray:
         """Field of minimum-image distances |x|_per from the origin site."""
+        signed = ((np.arange(self.m) + self.m // 2) % self.m - self.m // 2) * self.h
         d2 = np.zeros(self.shape)
-        for disp in self.displacement_mesh():
-            d2 = d2 + disp**2
+        for axis in range(self.dim):
+            d2 = d2 + self._broadcast(signed, axis) ** 2
         return np.sqrt(d2)
 
     def momentum_mesh(self) -> list:
         """Momentum component along each axis, shaped like a field."""
-        k = self.axis_momenta()
-        out = []
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.m
-            out.append(np.broadcast_to(k.reshape(shape), self.shape))
-        return out
+        return [self._broadcast(self.axis_momenta(), axis) for axis in range(self.dim)]
 
     def momentum_squared(self) -> np.ndarray:
         k2 = np.zeros(self.shape)

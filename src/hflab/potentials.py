@@ -209,13 +209,4 @@ def gaussian_window(grid: Grid, center: np.ndarray, radius: float) -> np.ndarray
     """Window exp(-|x-z|^2 / r^2) with minimum-image displacement from z."""
     if radius <= 0:
         raise ValueError("window radius must be positive")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size != grid.dim:
-        raise ValueError("center must have one coordinate per grid axis")
-    d2 = np.zeros(grid.shape)
-    half = grid.length / 2.0
-    for axis in range(grid.dim):
-        coord = grid.coordinate_mesh(axis)
-        delta = np.mod(coord - center[axis] + half, grid.length) - half
-        d2 = d2 + delta**2
-    return np.exp(-d2 / radius**2)
+    return np.exp(-grid.squared_distance_from(center) / radius**2)

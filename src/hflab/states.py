@@ -55,13 +55,7 @@ def gaussian_packet(grid: Grid, center, width: float, mode=None) -> Field:
     """
     if width <= 0:
         raise ValueError("packet width must be positive")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    half = grid.length / 2.0
-    d2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        delta = np.mod(grid.coordinate_mesh(axis) - center[axis] + half, grid.length) - half
-        d2 = d2 + delta**2
-    values = np.exp(-d2 / (4.0 * width**2)).astype(complex)
+    values = np.exp(-grid.squared_distance_from(center) / (4.0 * width**2)).astype(complex)
     if mode is not None:
         values = values * plane_wave(grid, mode).values * grid.length ** (grid.dim / 2.0)
     return normalized(Field(grid, values))

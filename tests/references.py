@@ -72,6 +72,11 @@ def annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
     return space.annihilators[mode * space.dim:(mode + 1) * space.dim]
 
 
+def number_operator(space: FockSpace) -> sparse.csr_matrix:
+    """Sparse diagonal matrix of the particle number N in the occupation basis."""
+    return sparse.diags(space.occupations().astype(float)).tocsr()
+
+
 def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     """Occupation-basis Slater vector a^*(e_{s1})...a^*(e_{sN}) Omega, s ascending."""
     occupied = sorted(set(int(s) for s in occupied))

@@ -1,15 +1,20 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
-from references import annihilator, slater_vector
+from references import annihilator, number_operator, slater_vector
 
-from hflab import lattice
+from hflab import fock, lattice
 from hflab.fock import (
     FockSpace,
     _bound_slacks,
@@ -27,12 +32,11 @@ from hflab.fock import (
     fluctuation_ring_run,
     gamma1,
     lift_unitary,
-    number_operator,
     particle_hole,
     ring_hamiltonian,
     second_quantized_hamiltonian,
 )
-from hflab.hartree_fock import loewdin_orthonormalize
+from hflab.hartree_fock import CHEBYSHEV_MAX_PHASE, loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
 
@@ -80,9 +84,7 @@ def test_vacuum_and_occupation():
 
 def test_dgamma_identity_is_number_operator():
     sp = FockSpace(5)
-    n1 = dgamma(sp, np.eye(5)).toarray()
-    occ = sp.occupations()
-    assert np.max(np.abs(n1 - np.diag(occ.astype(float)))) == 0.0
+    assert np.max(np.abs((dgamma(sp, np.eye(5)) - number_operator(sp)).toarray())) == 0.0
 
 
 def test_dgamma_expectation_equals_density_pairing():
@@ -587,29 +589,98 @@ def test_exact_evolution_matches_dense_expm():
     assert np.max(np.abs(psi_t - direct)) < 1e-9
 
 
-def test_exact_evolution_one_expm_multiply_per_report(monkeypatch):
-    import scipy.sparse.linalg
+def spy_series(monkeypatch) -> list:
+    """Record the phase tau r of every Chebyshev series evolve_exact runs."""
+    phases = []
+    real = fock.chebyshev_expm
 
-    calls = []
-    real = scipy.sparse.linalg.expm_multiply
+    def spy(apply, block, tau, centre, radius):
+        phases.append(tau * radius)
+        return real(apply, block, tau, centre, radius)
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    monkeypatch.setattr(fock, "chebyshev_expm", spy)
+    return phases
 
-    # evolve_exact imports expm_multiply from scipy.sparse.linalg when it runs
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", spy)
+
+def test_exact_evolution_one_chebyshev_series_per_report(monkeypatch):
+    phases = spy_series(monkeypatch)
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     space = FockSpace(6)
     ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
     psi0 = slater_vector(space, [0, 1])
     snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
-    assert len(calls) == 3  # reports after steps 2, 4 and 5
+    assert len(phases) == 3  # reports after steps 2, 4 and 5
+    assert max(phases) <= CHEBYSHEV_MAX_PHASE
     assert [t for t, _ in snaps] == [s * 0.1 for s in (0, 2, 4, 5)]
     for t, psi_t in snaps:
         direct = expm(-1j * t / p.epsilon * ham.toarray()) @ psi0
         assert np.max(np.abs(psi_t - direct)) < 1e-9
+
+
+def ring_case(m: int, seed: int = 1):
+    g = Grid(1, m)
+    p = ScaledParams(2, 0.5)
+    space = FockSpace(m)
+    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return space, p, ham, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_exact_evolution_matches_expm_multiply(m):
+    # the fluctuation-ring step and report stride
+    _, p, ham, psi0 = ring_case(m)
+    kept = psi0.copy()
+    snaps = evolve_exact(ham, psi0, 1e-3, 1000, p.epsilon, 100)
+    assert np.array_equal(psi0, kept)  # the series consume copies, never the caller's psi
+    assert len(snaps) == 11
+    for t, psi_t in snaps:
+        expected = expm_multiply((-1j * t / p.epsilon) * ham, psi0)
+        assert np.max(np.abs(psi_t - expected)) <= 1e-12
+
+
+def test_exact_evolution_on_a_sector_block_matches_the_full_space():
+    space, p, ham, psi = ring_case(6)
+    sector = space.sector_masks(2)
+    psi0 = np.zeros_like(psi)
+    psi0[sector] = psi[sector] / np.linalg.norm(psi[sector])
+    full = evolve_exact(ham, psi0, 1e-2, 100, p.epsilon, 25)
+    block = evolve_exact(ham[sector][:, sector], psi0[sector], 1e-2, 100, p.epsilon, 25)
+    for (t, psi_t), (s, chi_t) in zip(full, block):
+        assert t == s
+        assert np.max(np.abs(psi_t[sector] - chi_t)) <= 1e-12
+
+
+def test_long_report_splits_into_equal_series(monkeypatch):
+    phases = spy_series(monkeypatch)
+    _, p, ham, psi0 = ring_case(6)
+    (_, start), (_, psi_t) = evolve_exact(ham, psi0, 5.0, 1, p.epsilon)
+    assert np.array_equal(start, psi0)
+    assert len(phases) == 5 and len(set(phases)) == 1
+    assert phases[0] <= CHEBYSHEV_MAX_PHASE
+    expected = expm(-1j * 5.0 / p.epsilon * ham.toarray()) @ psi0
+    assert np.max(np.abs(psi_t - expected)) <= 1e-12
+
+
+def test_fluctuation_ring_verify_loads_no_scipy_linalg():
+    # the exact flow runs on the mean field's Chebyshev series: neither
+    # scipy.linalg nor scipy.sparse.linalg is imported by a verify run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = (
+        "import sys, tempfile\n"
+        "from hflab.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert main(['verify', '--scenarios', 'fluctuation-ring', '--out', out]) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # The basis-state loops the stack and the occupation table replaced, kept as

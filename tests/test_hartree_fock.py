@@ -184,7 +184,7 @@ def exact_fft_step(st, pot, dt):
     spectrum = np.linalg.eigvalsh(apply(np.eye(g.site_count, dtype=complex)))
     centre, radius = (spectrum[-1] + spectrum[0]) / 2.0, (spectrum[-1] - spectrum[0]) / 2.0
     flat = f1.reshape(p.n_particles, -1)
-    f2 = hf._chebyshev_expm(
+    f2 = hf.chebyshev_expm(
         normalized_operator(apply, centre, radius), flat, dt / p.epsilon, centre, radius
     ).reshape(f1.shape)
     f3 = hf._kinetic_multiply(f2, phase)
@@ -548,6 +548,16 @@ def test_chebyshev_coefficients_match_long_table():
     assert np.array_equal(hf._chebyshev_coefficients(0.0), [1.0])
 
 
+def test_max_phase_series_uses_the_whole_degree_cap():
+    # the exact Fock flow cuts each report into series of phase at most
+    # CHEBYSHEV_MAX_PHASE: one such series needs exactly the cap, and the
+    # phase sits below the 15.589... where degree 40 stops sufficing
+    assert len(hf._chebyshev_coefficients(hf.CHEBYSHEV_MAX_PHASE)) == hf.CHEBYSHEV_MAX_DEGREE + 1
+    assert hf.CHEBYSHEV_MAX_PHASE < 15.589
+    with pytest.raises(RuntimeError, match="above the cap"):
+        hf._chebyshev_coefficients(15.59)
+
+
 @pytest.mark.parametrize("z", [15.6, 40.0, 1e6])
 def test_chebyshev_cap_error_names_degree_and_residual(z):
     # degree 41 from the cap + 2 table, degree 73 from the long one, and none found
@@ -564,7 +574,7 @@ def test_chebyshev_raises_above_degree_cap(monkeypatch, sites):
     p, f, (apply, centre, radius), _ = midpoint_operator(sites)
     monkeypatch.setattr(hf, "CHEBYSHEV_MAX_DEGREE", 2)
     with pytest.raises(RuntimeError, match="residual"):
-        hf._chebyshev_expm(apply, f, 1e-2 / p.epsilon, centre, radius)
+        hf.chebyshev_expm(apply, f, 1e-2 / p.epsilon, centre, radius)
 
 
 @pytest.mark.parametrize("tau", [1e-3, 1e-1, 2.0])
@@ -572,7 +582,7 @@ def test_chebyshev_raises_above_degree_cap(monkeypatch, sites):
 def test_chebyshev_expm_matches_dense_expm(sites, tau):
     # degrees 3, 7 and 16 at these phases, on both paths
     p, f, (apply, centre, radius), matrix = midpoint_operator(sites)
-    got = hf._chebyshev_expm(apply, f.copy(), tau / p.epsilon, centre, radius)
+    got = hf.chebyshev_expm(apply, f.copy(), tau / p.epsilon, centre, radius)
     expected = f @ expm(-1j * (tau / p.epsilon) * matrix)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -593,7 +603,7 @@ def test_inplace_chebyshev_matches_out_of_place_reference(sites, tau, degree):
     assert len(hf._chebyshev_coefficients(tau / p.epsilon * radius)) == degree + 1
     expected = reference_chebyshev_expm(apply, f, tau / p.epsilon, centre, radius)
     block = f.copy()
-    got = hf._chebyshev_expm(apply, block, tau / p.epsilon, centre, radius)
+    got = hf.chebyshev_expm(apply, block, tau / p.epsilon, centre, radius)
     assert not np.shares_memory(got, block)  # the block is scratch, not the result
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -617,7 +627,7 @@ def test_chebyshev_zero_potential_is_degree_zero(sites):
     def never(block):
         raise AssertionError("degree 0 applies no operator")
 
-    assert np.array_equal(hf._chebyshev_expm(never, f.copy(), 1e-2 / p.epsilon, centre, radius), f)
+    assert np.array_equal(hf.chebyshev_expm(never, f.copy(), 1e-2 / p.epsilon, centre, radius), f)
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 64, 4), (1, 128, 8), (2, 8, 4)])
@@ -755,7 +765,7 @@ def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
 
     monkeypatch.setattr(scipy.fft, "fftn", spy_fftn)
     monkeypatch.setattr(hf, "_exchange", spy_exchange)
-    monkeypatch.setattr(hf, "_chebyshev_expm", in_phase("propagator", hf._chebyshev_expm))
+    monkeypatch.setattr(hf, "chebyshev_expm", in_phase("propagator", hf.chebyshev_expm))
     hf_step(st, pot, 1e-3)
     assert exchanges == [True, True]
     assert entered == ["exchange", "exchange", "propagator"]

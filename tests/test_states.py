@@ -48,6 +48,13 @@ def test_gaussian_packet_center_and_norm():
     assert abs(peak * g.h - g.length / 2) <= g.h
 
 
+@pytest.mark.parametrize("dim,center", [(1, [1.0, 2.0]), (2, [1.0]), (1, [[1.0]])])
+def test_gaussian_packet_needs_one_center_coordinate_per_axis(dim, center):
+    # an extra coordinate used to be dropped, a missing one raised IndexError
+    with pytest.raises(ValueError, match="one coordinate per axis"):
+        gaussian_packet(Grid(dim, 8), center, 0.3)
+
+
 def test_packet_slater_counts_and_orthonormality():
     g = Grid(1, 256)
     for n in (8, 27, 64):
