@@ -55,6 +55,13 @@ CHEBYSHEV_MAX_PHASE = 15.5
 # N=16 step (2 vCPUs) budgets from 2**18 to 2**22 ran equally fast, and peak
 # RSS rose from 188 MB at 2**19 to 244 MB at 2**22.
 EXCHANGE_CHUNK_POINTS = 2**19
+# The Chebyshev series runs over row chunks of its block, and the compressed exchange
+# forms its basis over column chunks, each of at most this many complex points (4 MiB):
+# 8 rows at 3d m=32, the whole block on the dense path (M <= 128), one row at the
+# 2**20-site field cap.  A degree-3 series at 3d m=32 N=16 (2 vCPUs, one BLAS thread,
+# medians of 7 rounds) took 58 ms on the whole block, 64 in 8-row chunks, 81 in 4,
+# 113 in 2 and 99 in 1 (matrix-vector products); smaller budgets cost time there.
+STEP_CHUNK_POINTS = 2**18
 # Grids with at most this many sites step on cached dense M x M one-body
 # matrices (one matmul per application, no FFT); larger grids use FFTs.  The
 # dense step was faster at every N tried up to 128 sites; at 256 the faster
@@ -149,35 +156,47 @@ def _direct_potential(orbitals, potential, n_particles):
     return potential.convolve(orbital_density(orbitals) / n_particles)
 
 
-def _exchange(block, frozen, potential, n_particles):
-    """X applied to each row of `block`; X uses the frozen orbital set.
+def _exchange(block, frozen, potential, n_particles, out=None):
+    """X applied to each row of `block`, written into `out` (a new block if None); X uses
+    the frozen orbital set.
 
     Pair densities conj(f_i) g_j are formed a chunk of frozen orbitals at a
     time in one buffer reused for every chunk, so scratch stays
-    O(chunk * k * M) instead of O(N * k * M).  When the block is the frozen set
-    and takes more than one chunk, row i transforms only the pairs j >= i: the
-    (j, i) pair is conj(f_j) f_i = conj(conj(f_i) f_j), and
-    V * conj(h) = conj(V * h) because v_hat is real and even.  Where all pairs
-    fit in one chunk the full square is one batched transform, which is faster
-    on small grids than N row transforms.
+    O(chunk * k * M) instead of O(N * k * M).  When the block is the frozen set,
+    row i transforms only the pairs j >= i: the (j, i) pair is
+    conj(f_j) f_i = conj(conj(f_i) f_j), and V * conj(h) = conj(V * h) because
+    v_hat is real and even.  Consecutive rows' pairs are packed into the buffer
+    while they fit, so where all N(N+1)/2 pairs fit they are one batched transform.
     """
     n = frozen.shape[0]
     chunk = min(n, max(1, EXCHANGE_CHUNK_POINTS // block.size))
     buf = np.empty((chunk,) + block.shape, dtype=complex)
-    out = np.zeros_like(block)
-    if block is frozen and chunk < n:
+    if out is None:
+        out = np.zeros_like(block)
+    else:
+        out.fill(0.0)
+    if block is frozen:
+        pairs = buf.reshape((-1,) + block.shape[1:])
         row = np.empty(block.shape[1:], dtype=complex)
-        for i in range(n):
-            pair = buf[0, : n - i]
-            np.multiply(np.conjugate(frozen[i], out=row), block[i:], out=pair)
-            pair = potential.convolve(pair, overwrite=True)
-            # frozen orbitals j > i reach row i through the conjugate pair,
-            # conjugated in place and back: no conjugate copy of the frozen set
-            np.conjugate(pair[1:], out=pair[1:])
-            out[i] += np.einsum("j...,j...->...", frozen[i + 1:], pair[1:], out=row)
-            np.conjugate(pair[1:], out=pair[1:])
-            pair *= frozen[i]
-            out[i:] += pair
+        start = 0
+        while start < n:
+            stop, size = start + 1, n - start  # rows start..stop-1 share one transform
+            while stop < n and size + n - stop <= len(pairs):
+                stop, size = stop + 1, size + n - stop
+            offsets = np.cumsum([0] + [n - i for i in range(start, stop)]).tolist()
+            for i, offset in zip(range(start, stop), offsets):
+                np.multiply(np.conjugate(frozen[i], out=row), block[i:], out=pairs[offset:offset + n - i])
+            done = potential.convolve(pairs[:size], overwrite=True)
+            for i, offset in zip(range(start, stop), offsets):
+                pair = done[offset:offset + n - i]
+                # frozen orbitals j > i reach row i through the conjugate pair,
+                # conjugated in place and back: no conjugate copy of the frozen set
+                np.conjugate(pair[1:], out=pair[1:])
+                out[i] += np.einsum("j...,j...->...", frozen[i + 1:], pair[1:], out=row)
+                np.conjugate(pair[1:], out=pair[1:])
+                pair *= frozen[i]
+                out[i:] += pair
+            start = stop
     else:
         for start in range(0, n, chunk):
             pair = buf[: min(chunk, n - start)]
@@ -254,27 +273,33 @@ def _chebyshev_coefficients(z):
 
 
 def chebyshev_expm(apply, block, tau, centre, radius):
-    """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series.
+    """exp(-1j * tau * H) applied to each row of a (k, M) block by a Chebyshev series, in place.
 
     H is Hermitian with its spectrum in [c - r, c + r]; `apply` returns A b as a
-    new block, A = 2 (H - c) / r, and exp(-1j tau H) = exp(-1j tau c) exp(-1j tau r A / 2)
-    (Tal-Ezer and Kosloff), of a degree fixed in advance.  `block` is T_0 and is
-    overwritten: T_{k+1} = A T_k - T_{k-1} goes over T_{k-1}, so the sum, T_{k-1},
-    T_k and A T_k (or c_k T_k) are the only (k, M) blocks alive.  r = 0 is an exact phase.
+    new block, A = 2 (H - c) / r acting on each row alone, and exp(-1j tau H) =
+    exp(-1j tau c) exp(-1j tau r A / 2) (Tal-Ezer and Kosloff), of a degree fixed in
+    advance.  The series runs over chunks of rows of at most STEP_CHUNK_POINTS points and
+    writes each chunk's sum back over it, then returns `block`.  The chunk is T_0 and
+    T_{k+1} = A T_k - T_{k-1} goes over T_{k-1}, so the sum, T_1 and A T_k (or c_k T_k)
+    are the only other arrays alive, each of one chunk.  r = 0 is an exact phase.
     """
     coeffs = _chebyshev_coefficients(tau * radius)
-    out = coeffs[0] * block
-    prev, cur = None, block
-    for coeff in coeffs[1:]:
-        if prev is None:
-            prev, cur = cur, apply(cur)
-            cur *= 0.5  # T_1 = X T_0
-        else:
-            np.subtract(apply(cur), prev, out=prev)
-            prev, cur = cur, prev
-        out += coeff * cur
-    out *= np.exp(-1j * tau * centre)
-    return out
+    rows = max(1, STEP_CHUNK_POINTS // block.shape[1])
+    for start in range(0, len(block), rows):
+        chunk = block[start:start + rows]
+        out = coeffs[0] * chunk
+        prev, cur = None, chunk
+        for coeff in coeffs[1:]:
+            if prev is None:
+                prev, cur = cur, apply(cur)
+                cur *= 0.5  # T_1 = X T_0
+            else:
+                np.subtract(apply(cur), prev, out=prev)
+                prev, cur = cur, prev
+            out += coeff * cur
+        out *= np.exp(-1j * tau * centre)
+        chunk[...] = out
+    return block
 
 
 def _normalization(lo, hi):
@@ -303,19 +328,22 @@ def _fft_kinetic(block, grid, phase_time):
     return _kinetic_multiply(rows, _half_kinetic(grid, phase_time, False)).reshape(len(block), -1)
 
 
-def _fft_self_terms(frozen, potential, grid, n_particles):
-    """u and the pair-symmetric self-exchange X F (N(N+1)/2 pair transforms past one chunk)."""
+def _fft_self_terms(frozen, potential, grid, n_particles, out):
+    """u, and the pair-symmetric self-exchange X F written into `out`."""
     rows = frozen.reshape((len(frozen),) + grid.shape)
     u_vals = _direct_potential(rows, potential, n_particles).reshape(-1)
-    return u_vals, _exchange(rows, rows, potential, n_particles).reshape(len(frozen), -1)
+    _exchange(rows, rows, potential, n_particles, out=out.reshape(rows.shape))
+    return u_vals
 
 
-def _fft_self_field(frozen, potential, grid, n_particles):
-    u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
-    return np.subtract(u_vals * frozen, image, out=image)
+def _fft_self_field(frozen, potential, grid, n_particles, out):
+    u_vals = _fft_self_terms(frozen, potential, grid, n_particles, out)
+    for row, image_row in zip(frozen, out):  # row by row: u F would be a second block
+        np.subtract(u_vals * row, image_row, out=image_row)
+    return out
 
 
-def _fft_frozen_field(frozen, potential, grid, n_particles):
+def _fft_frozen_field(frozen, potential, grid, n_particles, basis=None):
     """A for H = U - X~ with X~ = P X + X P - P X P, given the rows F, and (c, r).
 
     P is the h^d-orthogonal projection onto span(F) and X the exchange frozen
@@ -328,18 +356,35 @@ def _fft_frozen_field(frozen, potential, grid, n_particles):
     and scale folded into u and z, and conj(q) over conj(z) kept as one (2N, M)
     basis, A b is u' b plus one product of the basis, written into the block
     it returns; it transforms no pair density.
+
+    `basis` is a (2N, M) array whose first half is F: X F goes into its second
+    half, and q and z are formed over F and X F in place, a column chunk at a
+    time.  Without one, a new basis takes a copy of F.
     """
-    u_vals, image = _fft_self_terms(frozen, potential, grid, n_particles)
-    volume = grid.cell_volume
     n = len(frozen)
-    s = _loewdin_transform(_gram(frozen, volume))
-    basis = np.empty((2 * n, frozen.shape[1]), dtype=complex)  # q over z
-    q, z = basis[:n], basis[n:]
-    np.matmul(s, frozen, out=q)
-    np.matmul(s, image, out=z)
-    del image
+    if basis is None:
+        basis = np.empty((2 * n, frozen.shape[1]), dtype=complex)
+        basis[:n] = frozen
+    q, z = basis[:n], basis[n:]  # F over X F, then q over z
+    u_vals = _fft_self_terms(q, potential, grid, n_particles, z)
+    volume = grid.cell_volume
+    s = _loewdin_transform(_gram(q, volume))
+    # whole multiples of 64 columns meet the BLAS kernels one product over all columns
+    # would, so q and z do not depend on the budget
+    width = max(64, STEP_CHUNK_POINTS // n) // 64 * 64
+    scratch = np.empty((n, min(width, q.shape[1])), dtype=complex)
+
+    def columns(rows):
+        return [rows[:, start:start + width] for start in range(0, rows.shape[1], width)]
+
+    for part in columns(basis):  # q = S F and X q = S X F
+        for half in (part[:n], part[n:]):
+            half[...] = np.matmul(s, half, out=scratch[:, :half.shape[1]])
     core = volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
-    z -= 0.5 * (core.T @ q)
+    for q_part, z_part in zip(columns(q), columns(z)):  # z -= K^T q / 2
+        image = np.matmul(core.T, q_part, out=scratch[:, :q_part.shape[1]])
+        image *= 0.5
+        z_part -= image
     # kept conjugated, so the coefficients of a block are block @ basis.T; the Gram
     # matrix of conj(z) is the transpose of that of z, with the same eigenvalues
     np.conjugate(basis, out=basis)
@@ -377,18 +422,19 @@ def _dense_field_terms(frozen, potential, grid, n_particles):
     return matrix, scale * (orbital_density(frozen) @ pair), scale
 
 
-def _dense_self_field(frozen, potential, grid, n_particles):
+def _dense_self_field(frozen, potential, grid, n_particles, out):
     matrix, u_vals, scale = _dense_field_terms(frozen, potential, grid, n_particles)
     matrix *= -scale
     matrix.reshape(-1)[:: len(matrix) + 1] += u_vals
-    return frozen @ matrix
+    return np.matmul(frozen, matrix, out=out)
 
 
-def _dense_frozen_field(frozen, potential, grid, n_particles):
+def _dense_frozen_field(frozen, potential, grid, n_particles, basis=None):
     """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs.
 
     The discs are read off V o (F^* F), whose diagonal is real and non-negative, so A
-    is formed in the one pass over the matrix that forms the field itself."""
+    is formed in the one pass over the matrix that forms the field itself.  `basis`,
+    the FFT path's scratch, is not used."""
     matrix, u_vals, scale = _dense_field_terms(frozen, potential, grid, n_particles)
     diagonal = matrix.diagonal().real
     centres = u_vals - scale * diagonal
@@ -420,20 +466,24 @@ def hf_step_with_drift(state: SlaterState, potential: PowerLawPotential, dt: flo
     else:
         kinetic, self_field, frozen_field = _fft_kinetic, _fft_self_field, _fft_frozen_field
     phase_time = (dt / 2.0) * p.epsilon
+    n = state.n_orbitals
 
-    f1 = kinetic(state.orbitals.reshape(state.n_orbitals, -1), g, phase_time)
+    f1 = kinetic(state.orbitals.reshape(n, -1), g, phase_time)
 
-    # predictor: first-order half-step of the mean-field flow fixes the midpoint
-    f_mid = self_field(f1, potential, g, p.n_particles)
+    # predictor: first-order half-step of the mean-field flow fixes the midpoint, formed
+    # in the first half of the (2N, M) array the FFT path's frozen operator keeps as its basis
+    basis = np.empty((2 * n, f1.shape[1]), dtype=complex)
+    f_mid = self_field(f1, potential, g, p.n_particles, out=basis[:n])
     f_mid *= -1j * (dt / (2.0 * p.epsilon))
     f_mid += f1
-    midpoint_field, centre, radius = frozen_field(f_mid, potential, g, p.n_particles)
-    del f_mid  # the frozen operator holds no reference; freed, it lowers the propagator peak
+    midpoint_field, centre, radius = frozen_field(f_mid, potential, g, p.n_particles, basis)
+    del f_mid, basis
 
-    f2 = chebyshev_expm(midpoint_field, f1, dt / p.epsilon, centre, radius)  # consumes f1
+    chebyshev_expm(midpoint_field, f1, dt / p.epsilon, centre, radius)  # f1 becomes f2
+    del midpoint_field  # frees the basis before the last kinetic half-step
+
+    f3 = kinetic(f1, g, phase_time)
     del f1
-
-    f3 = kinetic(f2, g, phase_time)
 
     gram = _gram(f3, g.cell_volume)  # serves the drift check and the Loewdin transform
     defect = _gram_defect(gram)
@@ -480,7 +530,8 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
 
     With Q(g) = h^d sum_x conj(g) (V * g) by Parseval (`PowerLawPotential.pair_energy`),
     the pair terms are Q(rho), rho = sum_j |f_j|^2, and sum_ij Q(conj(f_i) f_j) =
-    sum_i Q(|f_i|^2) + 2 sum_{i<j} Q(conj(f_i) f_j), from one (N, M) buffer.
+    2 sum_{i<=j} Q(conj(f_i) f_j) - sum_i Q(|f_i|^2).  One (N, M) buffer holds the
+    orbitals' transforms, then the N(N+1)/2 pairs j >= i packed into batches of N rows.
     """
     g = state.grid
     f = state.orbitals
@@ -488,10 +539,19 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     direct = potential.pair_energy(orbital_density(f)[None])[0]
     buf = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
     kinetic = state.params.epsilon**2 * laplacian_trace(g, buf)
-    exchange = 0.0
+    exchange, filled, diagonal = 0.0, 0, []
     for i in range(n):
-        energies = potential.pair_energy(np.multiply(f[i].conj(), f[i:], out=buf[: n - i]))
-        exchange += 2.0 * energies.sum() - energies[0]
+        j = i
+        while j < n:
+            if j == i:
+                diagonal.append(filled)
+            take = min(n - j, n - filled)
+            np.multiply(f[i].conj(), f[j:j + take], out=buf[filled:filled + take])
+            filled, j = filled + take, j + take
+            if filled == n or i == n - 1:  # a full batch, or the last pair
+                energies = potential.pair_energy(buf[:filled])
+                exchange += 2.0 * energies.sum() - energies[diagonal].sum()
+                filled, diagonal = 0, []
     return float(kinetic + 0.5 * (direct - exchange) / n)
 
 

@@ -6,6 +6,7 @@ import scipy.fft
 import scipy.special
 from scipy.linalg import expm
 
+from hflab import fock
 from hflab import hartree_fock as hf
 from hflab.fewbody import hf_vs_exact_probe
 from hflab.hartree_fock import (
@@ -437,11 +438,11 @@ def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
 
 
 @pytest.mark.parametrize(
-    "budget,pairs", [(None, 25), (1, 15), (2 * 5 * 8**3, 15)], ids=["square", "rows", "rows-chunk2"]
+    "budget,pairs", [(None, 15), (1, 15), (2 * 5 * 8**3, 15)], ids=["square", "rows", "rows-chunk2"]
 )
 def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
-    # N = 5 frozen orbitals: the full square transforms N^2 pair densities,
-    # the row pass only the N(N+1)/2 with j >= i, at any chunk size below N
+    # N = 5 frozen orbitals: the packed triangle transforms only the N(N+1)/2
+    # pairs j >= i (not the N^2 of the full square), at any chunk size
     if budget is not None:
         monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
     g = Grid(3, 8)
@@ -604,7 +605,7 @@ def test_inplace_chebyshev_matches_out_of_place_reference(sites, tau, degree):
     expected = reference_chebyshev_expm(apply, f, tau / p.epsilon, centre, radius)
     block = f.copy()
     got = hf.chebyshev_expm(apply, block, tau / p.epsilon, centre, radius)
-    assert not np.shares_memory(got, block)  # the block is scratch, not the result
+    assert got is block  # the sum is written back over the block
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -797,8 +798,9 @@ def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
 
 
 def test_step_memory_bounded():
-    # the propagator keeps at most four orbital blocks alive at any degree; a
-    # basis preallocated for 40 rows would alone take 40 MiB here
+    # the exchange's pair buffer holds 8 frozen orbitals of this 1 MiB block, and the
+    # step around it f1 and the (2N, M) basis: 11.3 MiB measured; a basis
+    # preallocated for 40 rows would alone take 40 MiB here
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
@@ -809,21 +811,22 @@ def test_step_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 12 * 2**20
 
 
 def test_step_and_energy_stay_within_block_budget(monkeypatch):
-    # one orbital block per exchange chunk: the step holds the propagator's
-    # three Chebyshev blocks, the block A returns and the compressed exchange's
-    # q and z; the energy one buffer of transforms
+    # one orbital block per exchange chunk and half a block per series chunk, as at
+    # 3d m32 N16: the step holds f1, the (2N, M) basis and the exchange's pair buffer
+    # or three series chunks (4.82 blocks measured); the energy one buffer of transforms
     g = Grid(3, 16)
     p = ScaledParams(8, 1.0)
     pot = power_law_potential(g, 1.0)
     st = random_slater(g, p, np.random.default_rng(1))
     monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", st.orbitals.size)
+    monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", st.orbitals.size // 2)
     st = hf_step(st, pot, 1e-3)  # fills the cached operators and v_hat
     hf_energy(st, pot)
-    for run, blocks in [(lambda: hf_step(st, pot, 1e-3), 6.5), (lambda: hf_energy(st, pot), 3.0)]:
+    for run, blocks in [(lambda: hf_step(st, pot, 1e-3), 5.3), (lambda: hf_energy(st, pot), 3.0)]:
         tracemalloc.start()
         try:
             run()
@@ -831,6 +834,67 @@ def test_step_and_energy_stay_within_block_budget(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= blocks * st.orbitals.nbytes
+
+
+def test_midpoint_is_freed_before_the_last_kinetic_half_step(monkeypatch):
+    # the frozen operator, its basis and f_mid are gone when the second kinetic
+    # half-step starts: only the propagated block is alive above the step's entry
+    g = Grid(3, 16)
+    p = ScaledParams(8, 1.0)
+    pot = power_law_potential(g, 1.0)
+    st = hf_step(random_slater(g, p, np.random.default_rng(1)), pot, 1e-3)
+    alive = []
+    kinetic = hf._fft_kinetic
+
+    def spy(*args):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return kinetic(*args)
+
+    monkeypatch.setattr(hf, "_fft_kinetic", spy)
+    tracemalloc.start()
+    try:
+        hf_step(st, pot, 1e-3)
+    finally:
+        tracemalloc.stop()
+    assert len(alive) == 2
+    assert alive[1] - alive[0] <= 1.3 * st.orbitals.nbytes
+
+
+@pytest.mark.parametrize("dim,m,n", [(2, 20, 5), (3, 10, 7)])
+def test_row_chunked_series_matches_one_chunk(monkeypatch, dim, m, n):
+    # 2-row series chunks, which do not divide N, and column chunks of 128 and 256
+    # sites, which do not divide M (400 = 3 * 128 + 16, 1000 = 3 * 256 + 232),
+    # against the whole block as one chunk
+    monkeypatch.setattr(hf, "DENSE_STEP_SITES", 0)
+    g = Grid(dim, m)
+    p = ScaledParams(n, 0.5)
+    pot = power_law_potential(g, 0.5)
+    st = random_slater(g, p, np.random.default_rng(70 + dim))
+    whole = hf_step(st, pot, 1e-3).orbitals
+    apply, centre, radius = hf._fft_frozen_field(st.orbitals.reshape(n, -1), pot, g, n)
+    series = hf.chebyshev_expm(apply, st.orbitals.reshape(n, -1).copy(), 1e-2 / p.epsilon, centre, radius)
+    monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", 2 * g.site_count)
+    chunked = hf_step(st, pot, 1e-3).orbitals
+    assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(np.abs(whole))
+    rows = hf.chebyshev_expm(apply, st.orbitals.reshape(n, -1).copy(), 1e-2 / p.epsilon, centre, radius)
+    assert np.max(np.abs(rows - series)) <= 1e-15 * np.max(np.abs(series))
+
+
+def test_exact_flow_matches_out_of_place_series(monkeypatch):
+    # the Fock flow's (1, 2^m) block under the in-place series and under the out-of-place
+    # reference, with a series budget of one point
+    g = Grid(1, 6)
+    p = ScaledParams(2, 0.5)
+    space = fock.FockSpace(6)
+    ham = fock.ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    psi0 = np.zeros(space.dim, dtype=complex)
+    psi0[[3, 5]] = [0.6, 0.8j]  # two particles, in modes {0, 1} and {0, 2}
+    monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", 1)
+    got = fock.evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
+    monkeypatch.setattr(fock, "chebyshev_expm", reference_chebyshev_expm)
+    expected = fock.evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
+    for (t, psi), (t_ref, ref) in zip(got, expected):
+        assert t == t_ref and np.max(np.abs(psi - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
