@@ -26,6 +26,7 @@ which signals an aggressively large step for interacting runs.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -178,17 +179,19 @@ def _exchange(block, frozen, potential, n_particles, out=None):
     if block is frozen:
         pairs = buf.reshape((-1,) + block.shape[1:])
         row = np.empty(block.shape[1:], dtype=complex)
+        first = list(itertools.accumulate(range(n, 0, -1), initial=0))  # row i: pairs first[i]..
         start = 0
-        while start < n:
-            stop, size = start + 1, n - start  # rows start..stop-1 share one transform
-            while stop < n and size + n - stop <= len(pairs):
-                stop, size = stop + 1, size + n - stop
-            offsets = np.cumsum([0] + [n - i for i in range(start, stop)]).tolist()
-            for i, offset in zip(range(start, stop), offsets):
-                np.multiply(np.conjugate(frozen[i], out=row), block[i:], out=pairs[offset:offset + n - i])
-            done = potential.convolve(pairs[:size], overwrite=True)
-            for i, offset in zip(range(start, stop), offsets):
-                pair = done[offset:offset + n - i]
+        while start < n:  # rows start..stop-1 share one transform
+            stop = start + 1
+            while stop < n and first[stop + 1] - first[start] <= len(pairs):
+                stop += 1
+            base = first[start]
+            for i in range(start, stop):
+                np.multiply(np.conjugate(frozen[i], out=row), block[i:],
+                            out=pairs[first[i] - base:first[i + 1] - base])
+            done = potential.convolve(pairs[:first[stop] - base], overwrite=True)
+            for i in range(start, stop):
+                pair = done[first[i] - base:first[i + 1] - base]
                 # frozen orbitals j > i reach row i through the conjugate pair,
                 # conjugated in place and back: no conjugate copy of the frozen set
                 np.conjugate(pair[1:], out=pair[1:])
