@@ -26,7 +26,6 @@ which signals an aggressively large step for interacting runs.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -50,16 +49,11 @@ CHEBYSHEV_MAX_DEGREE = 40
 # Largest phase tau r one series of a split propagation spans: degree 40 reaches
 # tau r = 15.589..., so a series of this phase never meets the cap.
 CHEBYSHEV_MAX_PHASE = 15.5
-# Exchange forms pair densities a chunk of frozen orbitals at a time in one
-# buffer reused for every chunk.  It holds at most this many complex points
-# (8 MiB) or one orbital block when the block alone is larger.  On a 3d m=32
-# N=16 step (2 vCPUs) budgets from 2**18 to 2**22 ran equally fast, and peak
-# RSS rose from 188 MB at 2**19 to 244 MB at 2**22.
-EXCHANGE_CHUNK_POINTS = 2**19
-# The Chebyshev series runs over row chunks of its block, and the compressed exchange
-# forms its basis over column chunks, each of at most this many complex points (4 MiB):
-# 8 rows at 3d m=32, the whole block on the dense path (M <= 128), one row at the
-# 2**20-site field cap.  A degree-3 series at 3d m=32 N=16 (2 vCPUs, one BLAS thread,
+# The Chebyshev series runs over row chunks of its block, the self-exchange transforms
+# its pair densities in batches of pair rows, and the compressed exchange forms its
+# basis over column chunks, each of at most this many complex points (4 MiB): 8 rows
+# at 3d m=32, the whole block on the dense path (M <= 128), one row at the 2**20-site
+# field cap.  A degree-3 series at 3d m=32 N=16 (2 vCPUs, one BLAS thread,
 # medians of 7 rounds) took 58 ms on the whole block, 64 in 8-row chunks, 81 in 4,
 # 113 in 2 and 99 in 1 (matrix-vector products); smaller budgets cost time there.
 STEP_CHUNK_POINTS = 2**18
@@ -100,11 +94,11 @@ class SlaterState:
         return SlaterState(self.grid, self.orbitals.copy(), self.params, self.time)
 
 
-def slater_state(grid, orbitals, params, time=0.0, tol=1e-8) -> SlaterState:
-    """Validated constructor: Gram matrix must be the identity within tol."""
-    state = SlaterState(grid, np.array(orbitals, dtype=complex), params, time)
+def slater_state(grid, orbitals, params) -> SlaterState:
+    """Validated constructor at time 0: Gram matrix must be the identity within 1e-8."""
+    state = SlaterState(grid, np.array(orbitals, dtype=complex), params)
     defect = state.gram_defect()
-    if defect > tol:
+    if defect > 1e-8:
         raise ValueError(f"orbitals are not orthonormal (Gram defect {defect:.3e})")
     return state
 
@@ -157,60 +151,57 @@ def _direct_potential(orbitals, potential, n_particles):
     return potential.convolve(orbital_density(orbitals) / n_particles)
 
 
-def _exchange(block, frozen, potential, n_particles, out=None):
-    """X applied to each row of `block`, written into `out` (a new block if None); X uses
-    the frozen orbital set.
+def _pair_batches(n, capacity):
+    """The pairs (i, j), i <= j < n, in row-major order, in batches of at most `capacity`.
 
-    Pair densities conj(f_i) g_j are formed a chunk of frozen orbitals at a
-    time in one buffer reused for every chunk, so scratch stays
-    O(chunk * k * M) instead of O(N * k * M).  When the block is the frozen set,
-    row i transforms only the pairs j >= i: the (j, i) pair is
-    conj(f_j) f_i = conj(conj(f_i) f_j), and V * conj(h) = conj(V * h) because
-    v_hat is real and even.  Consecutive rows' pairs are packed into the buffer
-    while they fit, so where all N(N+1)/2 pairs fit they are one batched transform.
+    Yields (segments, rows): segments (i, lo, hi, at) place the pairs (i, lo) .. (i, hi - 1)
+    at rows at .. at + hi - lo - 1 of a batch of `rows` rows.  One row's pairs may span
+    batches.
     """
-    n = frozen.shape[0]
-    chunk = min(n, max(1, EXCHANGE_CHUNK_POINTS // block.size))
-    buf = np.empty((chunk,) + block.shape, dtype=complex)
-    if out is None:
-        out = np.zeros_like(block)
-    else:
-        out.fill(0.0)
-    if block is frozen:
-        pairs = buf.reshape((-1,) + block.shape[1:])
-        row = np.empty(block.shape[1:], dtype=complex)
-        first = list(itertools.accumulate(range(n, 0, -1), initial=0))  # row i: pairs first[i]..
-        start = 0
-        while start < n:  # rows start..stop-1 share one transform
-            stop = start + 1
-            while stop < n and first[stop + 1] - first[start] <= len(pairs):
-                stop += 1
-            base = first[start]
-            for i in range(start, stop):
-                np.multiply(np.conjugate(frozen[i], out=row), block[i:],
-                            out=pairs[first[i] - base:first[i + 1] - base])
-            done = potential.convolve(pairs[:first[stop] - base], overwrite=True)
-            for i in range(start, stop):
-                pair = done[first[i] - base:first[i + 1] - base]
-                # frozen orbitals j > i reach row i through the conjugate pair,
-                # conjugated in place and back: no conjugate copy of the frozen set
-                np.conjugate(pair[1:], out=pair[1:])
-                out[i] += np.einsum("j...,j...->...", frozen[i + 1:], pair[1:], out=row)
-                np.conjugate(pair[1:], out=pair[1:])
-                pair *= frozen[i]
-                out[i:] += pair
-            start = stop
-    else:
-        for start in range(0, n, chunk):
-            pair = buf[: min(chunk, n - start)]
-            np.conjugate(frozen[start:start + chunk, None], out=pair)
-            pair *= block
-            pair = potential.convolve(pair, overwrite=True)
-            pair *= frozen[start:start + chunk, None]
-            for term in pair:
-                out += term
+    batch, at = [], 0
+    for i in range(n):
+        lo = i
+        while lo < n:
+            hi = min(n, lo + capacity - at)
+            batch.append((i, lo, hi, at))
+            lo, at = hi, at + hi - lo
+            if at == capacity:
+                yield batch, at
+                batch, at = [], 0
+    if batch:
+        yield batch, at
+
+
+def _exchange(frozen, potential, n_particles, out):
+    """The self-exchange X F, X g = (1/N) sum_i f_i (V * (conj(f_i) g)), written into `out`.
+
+    Only the pairs j >= i are transformed: the (j, i) pair is conj(f_j) f_i =
+    conj(conj(f_i) f_j), and V * conj(h) = conj(V * h) because v_hat is real and even.
+    The batches of `_pair_batches` are formed in one buffer of at most STEP_CHUNK_POINTS
+    points (one pair row when a row is larger), so where all N(N+1)/2 pairs fit they are
+    one batched transform.
+    """
+    n = len(frozen)
+    capacity = min(n * (n + 1) // 2, max(1, STEP_CHUNK_POINTS // frozen[0].size))
+    pairs = np.empty((capacity,) + frozen.shape[1:], dtype=complex)
+    row = np.empty(frozen.shape[1:], dtype=complex)
+    out.fill(0.0)
+    for batch, rows in _pair_batches(n, capacity):
+        for i, lo, hi, at in batch:
+            np.multiply(np.conjugate(frozen[i], out=row), frozen[lo:hi], out=pairs[at:at + hi - lo])
+        done = potential.convolve(pairs[:rows], overwrite=True)
+        for i, lo, hi, at in batch:
+            pair = done[at:at + hi - lo]
+            # frozen orbitals j > i reach row i through the conjugate pair,
+            # conjugated in place and back: no conjugate copy of the frozen set
+            above = max(lo, i + 1)
+            tail = pair[above - lo:]
+            np.conjugate(tail, out=tail)
+            out[i] += np.einsum("j...,j...->...", frozen[above:hi], tail, out=row)
+            np.conjugate(tail, out=tail)
+            pair *= frozen[i]
+            out[lo:hi] += pair
     out /= n_particles
-    return out
 
 
 def _kinetic_multiply(block, multiplier):
@@ -335,7 +326,7 @@ def _fft_self_terms(frozen, potential, grid, n_particles, out):
     """u, and the pair-symmetric self-exchange X F written into `out`."""
     rows = frozen.reshape((len(frozen),) + grid.shape)
     u_vals = _direct_potential(rows, potential, n_particles).reshape(-1)
-    _exchange(rows, rows, potential, n_particles, out=out.reshape(rows.shape))
+    _exchange(rows, potential, n_particles, out.reshape(rows.shape))
     return u_vals
 
 
@@ -346,7 +337,7 @@ def _fft_self_field(frozen, potential, grid, n_particles, out):
     return out
 
 
-def _fft_frozen_field(frozen, potential, grid, n_particles, basis=None):
+def _fft_frozen_field(frozen, potential, grid, n_particles, basis):
     """A for H = U - X~ with X~ = P X + X P - P X P, given the rows F, and (c, r).
 
     P is the h^d-orthogonal projection onto span(F) and X the exchange frozen
@@ -362,12 +353,9 @@ def _fft_frozen_field(frozen, potential, grid, n_particles, basis=None):
 
     `basis` is a (2N, M) array whose first half is F: X F goes into its second
     half, and q and z are formed over F and X F in place, a column chunk at a
-    time.  Without one, a new basis takes a copy of F.
+    time.
     """
     n = len(frozen)
-    if basis is None:
-        basis = np.empty((2 * n, frozen.shape[1]), dtype=complex)
-        basis[:n] = frozen
     q, z = basis[:n], basis[n:]  # F over X F, then q over z
     u_vals = _fft_self_terms(q, potential, grid, n_particles, z)
     volume = grid.cell_volume
@@ -432,7 +420,7 @@ def _dense_self_field(frozen, potential, grid, n_particles, out):
     return np.matmul(frozen, matrix, out=out)
 
 
-def _dense_frozen_field(frozen, potential, grid, n_particles, basis=None):
+def _dense_frozen_field(frozen, potential, grid, n_particles, basis):
     """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs.
 
     The discs are read off V o (F^* F), whose diagonal is real and non-negative, so A
@@ -534,7 +522,8 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     With Q(g) = h^d sum_x conj(g) (V * g) by Parseval (`PowerLawPotential.pair_energy`),
     the pair terms are Q(rho), rho = sum_j |f_j|^2, and sum_ij Q(conj(f_i) f_j) =
     2 sum_{i<=j} Q(conj(f_i) f_j) - sum_i Q(|f_i|^2).  One (N, M) buffer holds the
-    orbitals' transforms, then the N(N+1)/2 pairs j >= i packed into batches of N rows.
+    orbitals' transforms, then the N(N+1)/2 pairs j >= i in the batches of N rows of
+    `_pair_batches`.
     """
     g = state.grid
     f = state.orbitals
@@ -542,19 +531,13 @@ def hf_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     direct = potential.pair_energy(orbital_density(f)[None])[0]
     buf = scipy.fft.fftn(f, axes=tuple(range(1, g.dim + 1)))
     kinetic = state.params.epsilon**2 * laplacian_trace(g, buf)
-    exchange, filled, diagonal = 0.0, 0, []
-    for i in range(n):
-        j = i
-        while j < n:
-            if j == i:
-                diagonal.append(filled)
-            take = min(n - j, n - filled)
-            np.multiply(f[i].conj(), f[j:j + take], out=buf[filled:filled + take])
-            filled, j = filled + take, j + take
-            if filled == n or i == n - 1:  # a full batch, or the last pair
-                energies = potential.pair_energy(buf[:filled])
-                exchange += 2.0 * energies.sum() - energies[diagonal].sum()
-                filled, diagonal = 0, []
+    exchange = 0.0
+    for batch, rows in _pair_batches(n, n):
+        for i, lo, hi, at in batch:
+            np.multiply(f[i].conj(), f[lo:hi], out=buf[at:at + hi - lo])
+        energies = potential.pair_energy(buf[:rows])
+        diagonal = [at for i, lo, _, at in batch if lo == i]
+        exchange += 2.0 * energies.sum() - energies[diagonal].sum()
     return float(kinetic + 0.5 * (direct - exchange) / n)
 
 

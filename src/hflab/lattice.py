@@ -190,8 +190,8 @@ class DenseOperator:
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}, got {self.matrix.shape}")
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < HERMITIAN_TOL)
 
 
 def spectral_multiplier_operator(grid: Grid, multiplier: np.ndarray) -> DenseOperator:

@@ -47,17 +47,12 @@ class RadialQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     alpha: float
-    cutoff: float | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("quadrature nodes must be strictly increasing")
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
-        if self.cutoff is not None and not (
-            self.nodes[0] < self.cutoff <= self.nodes[-1]
-        ):
-            raise ValueError("cutoff must lie inside the node range")
 
 
 def radial_quadrature(
@@ -135,7 +130,6 @@ class PowerLawPotential:
     grid: Grid
     alpha: float
     values: np.ndarray
-    regularization: str = "cell-clip"
 
     @cached_property
     def v_hat(self) -> np.ndarray:

@@ -385,13 +385,13 @@ def scenario_energy_audit(cfg: RunConfig) -> ScenarioResult:
     pot1 = power_law_potential(grid1, 0.5)
     st1 = packet_slater(grid1, ScaledParams(4, 0.5))
     snaps, _ = run_hf(st1, pot1, cfg.dt, min(200, int(round(cfg.t_final / cfg.dt))), 50)
-    transfer = energy_mod.conservation_transfer_audit(snaps, pot1)
+    transfer_excess = energy_mod.conservation_transfer_audit(snaps, pot1)
     ball = measured["fermi-ball"]
     return ScenarioResult(
         cfg.scenario,
         checks=[
             Check("violations", violations, "==", 0),
-            Check("conservation_transfer_excess", transfer["excess"], "<=", 1e-12),
+            Check("conservation_transfer_excess", transfer_excess, "<=", 1e-12),
             Check("lt_ratio_rel_drift",
                   abs(ball["lt_ratio"] / BASELINES["lt_ratio_fermi_ball_3d"] - 1.0), "<=", 0.2),
             Check("hls_ratio_rel_drift",

@@ -193,7 +193,6 @@ class WindowCommutatorRow:
 @dataclass
 class WindowCommutatorAudit:
     rows: list
-    fitted_constant: float
     fitted_exponent: float
     predicted_exponent: float | None
     degenerate_rows: int
@@ -205,8 +204,8 @@ def window_commutator_audit(omega, config: DiagnosticsConfig, radii=None) -> Win
     For each sampled (r, z): LHS = tr|[chi_(r,z), omega]| against the constant-free
     budget RHS = r^(3/2 - 3 delta) * sum_i ||rho_i||_1^(1/6 + delta) *
     (rho_i*(z))^(5/6 - delta) built from the position-commutator densities.
-    Reports the fitted constant max(LHS/RHS) and the least-squares r-exponent of
-    the z-averaged LHS; the 3/2 - 3 delta prediction applies to 3d states only.
+    Reports each row's ratio LHS/RHS and the least-squares r-exponent of the
+    z-averaged LHS; the 3/2 - 3 delta prediction applies to 3d states only.
     """
     g = omega.grid
     delta = config.delta
@@ -237,8 +236,6 @@ def window_commutator_audit(omega, config: DiagnosticsConfig, radii=None) -> Win
             degenerate += 1
         rows.append(WindowCommutatorRow(r, tuple(z), float(lhs), rhs))
 
-    finite = [row.ratio for row in rows if np.isfinite(row.ratio)]
-    fitted_c = float(np.max(finite)) if finite else np.inf
     radii = np.asarray(radii, dtype=float)
     means = np.mean(lhs_all.reshape(len(radii), len(centers)), axis=1)
     keep = means > 1e-14
@@ -249,7 +246,6 @@ def window_commutator_audit(omega, config: DiagnosticsConfig, radii=None) -> Win
     predicted = 1.5 - 3.0 * delta if g.dim == 3 else None
     return WindowCommutatorAudit(
         rows=rows,
-        fitted_constant=fitted_c,
         fitted_exponent=float(slope),
         predicted_exponent=predicted,
         degenerate_rows=degenerate,

@@ -58,6 +58,13 @@ def commutator_momentum(omega: DenseOperator, axis: int, epsilon: float) -> Dens
     return DenseOperator(g, p_op.matrix @ omega.matrix - omega.matrix @ p_op.matrix)
 
 
+def exchange(block: np.ndarray, frozen: np.ndarray, potential, n_particles: int) -> np.ndarray:
+    """X applied to each row g of `block`, X g = (1/N) sum_i f_i (V * (conj(f_i) g)) over the
+    frozen rows f_i, with all N k pair densities in one array (no chunks, no pair symmetry)."""
+    pairs = potential.convolve(frozen.conj()[:, None] * block[None])
+    return np.einsum("i...,ij...->j...", frozen, pairs) / n_particles
+
+
 def diagonal_density(op: DenseOperator) -> Field:
     """Diagonal kernel of an operator as a field: rho(z) = A(z;z) = diag / h^d."""
     g = op.grid

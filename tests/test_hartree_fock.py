@@ -6,6 +6,8 @@ import scipy.fft
 import scipy.special
 from scipy.linalg import expm
 
+from references import exchange as reference_exchange
+
 from hflab import fock
 from hflab import hartree_fock as hf
 from hflab.fewbody import hf_vs_exact_probe
@@ -27,13 +29,13 @@ from hflab.potentials import PowerLawPotential, power_law_potential
 from hflab.states import fermi_ball, gaussian_packet, packet_slater, plane_wave, random_slater
 
 
-# References: the full mean field and generator, applied through the exchange the
-# step uses, and the dense exchange kernel.
+# References: the full mean field and generator, applied through the unchunked
+# reference exchange, and the dense exchange kernel.
 
 
 def apply_mean_field(block, frozen, u_vals, potential, n_particles):
     """(U - X) applied to each row of `block`; X uses the frozen orbital set."""
-    return u_vals * block - hf._exchange(block, frozen, potential, n_particles)
+    return u_vals * block - reference_exchange(block, frozen, potential, n_particles)
 
 
 def hf_generator(state: SlaterState, potential: PowerLawPotential) -> np.ndarray:
@@ -48,7 +50,7 @@ def hf_generator(state: SlaterState, potential: PowerLawPotential) -> np.ndarray
 
 def apply_exchange(state: SlaterState, potential: PowerLawPotential, f: Field) -> Field:
     """Exchange operator X f: (1/N) sum_i f_i * (V * (conj(f_i) f))."""
-    out = hf._exchange(f.values[None, ...], state.orbitals, potential, state.params.n_particles)
+    out = reference_exchange(f.values[None, ...], state.orbitals, potential, state.params.n_particles)
     return Field(state.grid, out[0])
 
 
@@ -78,6 +80,20 @@ def generator_energy(state: SlaterState, potential: PowerLawPotential) -> float:
     mean = apply_mean_field(f, f, u, potential, p.n_particles)
     whole = np.vdot(f, hf_generator(state, potential)) - 0.5 * np.vdot(f, mean)
     return float(state.grid.cell_volume * whole.real)
+
+
+def self_exchange(frozen, potential, n_particles):
+    """The library's self-exchange X F, into a new block."""
+    out = np.empty_like(frozen)
+    hf._exchange(frozen, potential, n_particles, out)
+    return out
+
+
+def frozen_at(frozen_field, f, potential, grid, n_particles):
+    """`frozen_field` frozen at the rows f, in a (2N, M) basis of f over scratch as the
+    step passes it; f itself is left as it was."""
+    basis = np.concatenate([f, np.empty_like(f)])
+    return frozen_field(basis[:len(f)], potential, grid, n_particles, basis)
 
 
 def normalized_operator(apply, centre, radius):
@@ -173,12 +189,12 @@ def exact_fft_step(st, pot, dt):
     phase = np.exp(-1j * (dt / 2.0) * p.epsilon * g.momentum_squared())
     f1 = hf._kinetic_multiply(st.orbitals, phase)
     u1 = hf._direct_potential(f1, pot, p.n_particles)
-    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * (u1 * f1 - hf._exchange(f1, f1, pot, p.n_particles))
+    f_mid = f1 - 1j * (dt / (2.0 * p.epsilon)) * (u1 * f1 - reference_exchange(f1, f1, pot, p.n_particles))
     u_mid = hf._direct_potential(f_mid, pot, p.n_particles)
 
     def apply(block):
         rows = block.reshape((len(block),) + g.shape)
-        out = u_mid * rows - hf._exchange(rows, f_mid, pot, p.n_particles)
+        out = u_mid * rows - reference_exchange(rows, f_mid, pot, p.n_particles)
         return out.reshape(len(block), -1)
 
     # the spectrum of the assembled operator is the exact interval
@@ -404,37 +420,38 @@ def test_every_step_enters_through_the_module_binding(monkeypatch):
     assert calls == [1e-3] * 21
 
 
-def test_chunked_exchange_matches_dense_kernel(monkeypatch):
-    # one frozen orbital per chunk against the dense (1/N) V(x-y) omega(x;y) kernel
-    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", 1)
-    g = Grid(2, 8)
-    p = ScaledParams(4, 0.5)
-    pot = power_law_potential(g, 0.5)
-    rng = np.random.default_rng(11)
-    st = random_slater(g, p, rng)
-    f = Field(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    via_dense = (exchange_kernel(st, pot).matrix @ f.values.reshape(-1)).reshape(g.shape)
-    via_conv = apply_exchange(st, pot, f).values
-    assert np.max(np.abs(via_conv - via_dense)) <= 1e-12 * np.max(np.abs(via_dense))
-
-
 @pytest.mark.parametrize("budget", [None, 1, 512], ids=["default", "rows", "rows-chunk2"])
 def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
-    # block is the frozen set; a budget below N blocks (one or two frozen
-    # orbitals per chunk) makes it take the pair-symmetric row pass
+    # N = 4 frozen orbitals, 10 pairs: all in one batch by default, then one pair
+    # per batch, and batches of 8 pairs, where row 2 spans two batches
     if budget is not None:
-        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+        monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", budget)
     g = Grid(2, 8)
     p = ScaledParams(4, 0.5)
     pot = power_law_potential(g, 0.5)
     st = random_slater(g, p, np.random.default_rng(13))
     f = st.orbitals
-    u = hf._direct_potential(f, pot, p.n_particles)
-    got = apply_mean_field(f, f, u, pot, p.n_particles)
+    got = self_exchange(f, pot, p.n_particles)
     dense = exchange_kernel(st, pot)
     for j in range(p.n_particles):
-        expected = u * f[j] - (dense.matrix @ f[j].reshape(-1)).reshape(g.shape)
+        expected = (dense.matrix @ f[j].reshape(-1)).reshape(g.shape)
         assert np.max(np.abs(got[j] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_batches_list_each_pair_once_in_order(n):
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for capacity in range(1, len(pairs) + 1):
+        walked = []
+        for batch, rows in hf._pair_batches(n, capacity):
+            assert 0 < rows <= capacity
+            at = 0
+            for i, lo, hi, start in batch:  # segments tile the batch's rows in order
+                assert start == at and lo < hi
+                walked += [(i, j) for j in range(lo, hi)]
+                at += hi - lo
+            assert at == rows
+        assert walked == pairs
 
 
 @pytest.mark.parametrize(
@@ -442,9 +459,9 @@ def test_self_exchange_matches_dense_kernel(monkeypatch, budget):
 )
 def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
     # N = 5 frozen orbitals: the packed triangle transforms only the N(N+1)/2
-    # pairs j >= i (not the N^2 of the full square), at any chunk size
+    # pairs j >= i (not the N^2 of the full square), at any batch size
     if budget is not None:
-        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+        monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", budget)
     g = Grid(3, 8)
     p = ScaledParams(5, 1.0)
     pot = power_law_potential(g, 1.0)
@@ -458,7 +475,7 @@ def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
         return fftn(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "fftn", spy)
-    hf._exchange(f, f, pot, p.n_particles)
+    self_exchange(f, pot, p.n_particles)
     assert sum(counted) == pairs
 
 
@@ -507,7 +524,7 @@ def midpoint_operator(sites, make_potential=power_law_potential):
     p = ScaledParams(4, 0.5)
     f = packet_slater(g, p).orbitals.reshape(p.n_particles, -1)
     frozen_field = hf._dense_frozen_field if g.site_count <= sites else hf._fft_frozen_field
-    apply, centre, radius = frozen_field(f, make_potential(g, 0.5), g, p.n_particles)
+    apply, centre, radius = frozen_at(frozen_field, f, make_potential(g, 0.5), g, p.n_particles)
     eye = np.eye(g.site_count, dtype=complex)
     return p, f, (apply, centre, radius), centre * eye + (radius / 2.0) * apply(eye)
 
@@ -679,9 +696,9 @@ def compressed_fixture(make_potential=power_law_potential):
     f = random_slater(g, p, rng).orbitals
     f = f + 0.05 * (rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape))
     u = hf._direct_potential(f, pot, p.n_particles).reshape(-1)
-    image = hf._exchange(f, f, pot, p.n_particles).reshape(p.n_particles, -1)
+    image = self_exchange(f, pot, p.n_particles).reshape(p.n_particles, -1)
     flat = f.reshape(p.n_particles, -1)
-    field, centre, radius = hf._fft_frozen_field(flat, pot, g, p.n_particles)
+    field, centre, radius = frozen_at(hf._fft_frozen_field, flat, pot, g, p.n_particles)
     # X~ = U - H with H = c + (r / 2) A
     return g, flat, image, lambda block: (u - centre) * block - (radius / 2.0) * field(block), rng
 
@@ -738,7 +755,6 @@ def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
     pot.v_hat  # the transform of V itself is not a pair density
     phase = [None]
     counted = {"exchange": [], "propagator": []}
-    exchanges = []
     entered = []
     fftn = scipy.fft.fftn
 
@@ -758,17 +774,10 @@ def test_fft_step_exchange_and_pair_transform_count(monkeypatch):
 
         return run
 
-    exchange = in_phase("exchange", hf._exchange)
-
-    def spy_exchange(*args, **kwargs):
-        exchanges.append(args[0] is args[1])
-        return exchange(*args, **kwargs)
-
     monkeypatch.setattr(scipy.fft, "fftn", spy_fftn)
-    monkeypatch.setattr(hf, "_exchange", spy_exchange)
+    monkeypatch.setattr(hf, "_exchange", in_phase("exchange", hf._exchange))
     monkeypatch.setattr(hf, "chebyshev_expm", in_phase("propagator", hf.chebyshev_expm))
     hf_step(st, pot, 1e-3)
-    assert exchanges == [True, True]
     assert entered == ["exchange", "exchange", "propagator"]
     assert sum(counted["exchange"]) == 272
     assert counted["propagator"] == []
@@ -798,9 +807,9 @@ def test_step_fft_call_count(monkeypatch, dim, m, n, calls):
 
 
 def test_step_memory_bounded():
-    # the exchange's pair buffer holds 8 frozen orbitals of this 1 MiB block, and the
-    # step around it f1 and the (2N, M) basis: 11.3 MiB measured; a basis
-    # preallocated for 40 rows would alone take 40 MiB here
+    # the exchange's pair buffer holds STEP_CHUNK_POINTS points (4 MiB, 64 pair rows)
+    # beside this 1 MiB block, and the step around it f1 and the (2N, M) basis:
+    # 7.39 MiB measured; a basis preallocated for 40 rows would alone take 40 MiB here
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
@@ -811,18 +820,17 @@ def test_step_memory_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_step_and_energy_stay_within_block_budget(monkeypatch):
-    # one orbital block per exchange chunk and half a block per series chunk, as at
-    # 3d m32 N16: the step holds f1, the (2N, M) basis and the exchange's pair buffer
-    # or three series chunks (4.82 blocks measured); the energy one buffer of transforms
+    # half a block per pair batch and per series chunk, as at 3d m32 N16: the step
+    # holds f1, the (2N, M) basis and the exchange's pair buffer or three series
+    # chunks (4.82 blocks measured); the energy one buffer of transforms
     g = Grid(3, 16)
     p = ScaledParams(8, 1.0)
     pot = power_law_potential(g, 1.0)
     st = random_slater(g, p, np.random.default_rng(1))
-    monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", st.orbitals.size)
     monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", st.orbitals.size // 2)
     st = hf_step(st, pot, 1e-3)  # fills the cached operators and v_hat
     hf_energy(st, pot)
@@ -871,7 +879,7 @@ def test_row_chunked_series_matches_one_chunk(monkeypatch, dim, m, n):
     pot = power_law_potential(g, 0.5)
     st = random_slater(g, p, np.random.default_rng(70 + dim))
     whole = hf_step(st, pot, 1e-3).orbitals
-    apply, centre, radius = hf._fft_frozen_field(st.orbitals.reshape(n, -1), pot, g, n)
+    apply, centre, radius = frozen_at(hf._fft_frozen_field, st.orbitals.reshape(n, -1), pot, g, n)
     series = hf.chebyshev_expm(apply, st.orbitals.reshape(n, -1).copy(), 1e-2 / p.epsilon, centre, radius)
     monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", 2 * g.site_count)
     chunked = hf_step(st, pot, 1e-3).orbitals
@@ -907,7 +915,7 @@ def test_normalized_field_allocates_only_its_image(dim, m, frozen_field):
     g = Grid(dim, m)
     p = ScaledParams(8, 1.0)
     f = random_slater(g, p, np.random.default_rng(3)).orbitals.reshape(p.n_particles, -1)
-    apply, _, _ = frozen_field(f, power_law_potential(g, 1.0), g, p.n_particles)
+    apply, _, _ = frozen_at(frozen_field, f, power_law_potential(g, 1.0), g, p.n_particles)
     tracemalloc.start()
     try:
         image = apply(f)
@@ -921,25 +929,22 @@ def test_exchange_memory_bounded_by_chunk_budget(monkeypatch):
     g = Grid(3, 16)
     p = ScaledParams(16, 1.0)
     pot = power_law_potential(g, 1.0)
-    st = random_slater(g, p, np.random.default_rng(30))
-    f = st.orbitals
-    # a propagator block is a different orbital set acted on by the same X
-    other = random_slater(g, p, np.random.default_rng(31)).orbitals
-    u = hf._direct_potential(f, pot, p.n_particles)
-    pot.v_hat  # the transform of V is set-up, not part of one application
-    # 4 frozen orbitals per chunk: pair rows for the frozen block, chunks for
-    # the other one; then one frozen orbital per chunk (pair rows)
-    for budget, block in [(2**18, f), (2**18, other), (2**16, f)]:
-        monkeypatch.setattr(hf, "EXCHANGE_CHUNK_POINTS", budget)
+    f = random_slater(g, p, np.random.default_rng(30)).orbitals
+    out = np.empty_like(f)
+    hf._exchange(f, pot, p.n_particles, out)  # set-up: the transform of V and the FFT plans
+    # pair buffers of 64 and 16 rows of 4096 points, then of one row for a budget below
+    # one row; beside it the self-exchange holds a row of scratch and about one row of
+    # transform scratch (3.04 rows measured at one row).  The unchunked pair tensor
+    # alone would be N^2 = 256 rows
+    for budget in (2**18, 2**16, 1):
+        monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", budget)
         tracemalloc.start()
         try:
-            apply_mean_field(block, f, u, pot, p.n_particles)
+            hf._exchange(f, pot, p.n_particles, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # complex128: one pair chunk plus a few orbital blocks; the unchunked
-        # pair tensor alone would be N * k * M = 2^20 points
-        assert peak <= 16 * (budget + 5 * f.size)
+        assert peak <= (max(1, budget // g.site_count) + 3.5) * f[0].nbytes
 
 
 def test_hs_distance_resolves_equal_states_and_matches_dense():

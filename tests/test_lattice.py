@@ -191,7 +191,7 @@ def test_kinetic_operator_dense_matches_spectral():
     g = Grid(1, 16)
     p = ScaledParams(3, 0.5)
     kop = kinetic_operator(g, p)
-    assert kop.is_hermitian(1e-10)
+    assert kop.is_hermitian()
     rng = np.random.default_rng(8)
     f = random_field(g, rng)
     dense = kop.matrix @ f.values
