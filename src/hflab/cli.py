@@ -8,7 +8,8 @@ Verbs:
 Exit codes: 0 pass, 1 audit failure or a preset that raised, 2 usage or
 configuration error.  CSV bodies are deterministic given (config, seed) and
 the BLAS thread count; the manifest records the thread variables, and
-timestamps appear only there.
+timestamps appear only there.  The self-exchange's second thread does not
+enter: its sums run in a fixed order, so the bits do not depend on it.
 """
 
 from __future__ import annotations

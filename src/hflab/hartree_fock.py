@@ -26,6 +26,8 @@ which signals an aggressively large step for interacting runs.
 from __future__ import annotations
 
 import functools
+import itertools
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +55,8 @@ CHEBYSHEV_MAX_PHASE = 15.5
 # its pair densities in batches of pair rows, and the compressed exchange forms its
 # basis over column chunks, each of at most this many complex points (4 MiB): 8 rows
 # at 3d m=32, the whole block on the dense path (M <= 128), one row at the 2**20-site
-# field cap.  A degree-3 series at 3d m=32 N=16 (2 vCPUs, one BLAS thread,
+# field cap.  The self-exchange's two lanes share it: of B pair rows each holds
+# (B - 4) // 2, 2 at 3d m=32.  A degree-3 series at 3d m=32 N=16 (2 vCPUs, one BLAS thread,
 # medians of 7 rounds) took 58 ms on the whole block, 64 in 8-row chunks, 81 in 4,
 # 113 in 2 and 99 in 1 (matrix-vector products); smaller budgets cost time there.
 STEP_CHUNK_POINTS = 2**18
@@ -177,30 +180,62 @@ def _exchange(frozen, potential, n_particles, out):
 
     Only the pairs j >= i are transformed: the (j, i) pair is conj(f_j) f_i =
     conj(conj(f_i) f_j), and V * conj(h) = conj(V * h) because v_hat is real and even.
-    The batches of `_pair_batches` are formed in one buffer of at most STEP_CHUNK_POINTS
-    points (one pair row when a row is larger), so where all N(N+1)/2 pairs fit they are
-    one batched transform.
+    Two lanes, this thread and a helper, take alternate batches of `_pair_batches`, each
+    formed and transformed in the lane's own buffer and added into `out` in batch order,
+    so the bits are those of a one-thread walk of the batches whatever the timing.  Each
+    lane's pair rows and scratch (a row, and about a row in the transform) fit half of
+    STEP_CHUNK_POINTS.  One lane walks where all N(N+1)/2 pairs fit one batch or the
+    budget holds under 6 pair rows.  An error in either lane stops both and raises here.
     """
     n = len(frozen)
-    capacity = min(n * (n + 1) // 2, max(1, STEP_CHUNK_POINTS // frozen[0].size))
-    pairs = np.empty((capacity,) + frozen.shape[1:], dtype=complex)
-    row = np.empty(frozen.shape[1:], dtype=complex)
+    count, budget = n * (n + 1) // 2, max(1, STEP_CHUNK_POINTS // frozen[0].size)
+    lanes = 2 if count > budget >= 6 else 1
+    capacity = (budget - 4) // 2 if lanes == 2 else min(count, budget)
+    buffers = [np.empty((capacity + 1,) + frozen.shape[1:], dtype=complex) for _ in range(lanes)]
+    potential._scaled_v_hat  # a cached_property: filled here, not by two lanes at once
+    turnstile, added, failed = threading.Condition(), [0], []
     out.fill(0.0)
-    for batch, rows in _pair_batches(n, capacity):
-        for i, lo, hi, at in batch:
-            np.multiply(np.conjugate(frozen[i], out=row), frozen[lo:hi], out=pairs[at:at + hi - lo])
-        done = potential.convolve(pairs[:rows], overwrite=True)
-        for i, lo, hi, at in batch:
-            pair = done[at:at + hi - lo]
-            # frozen orbitals j > i reach row i through the conjugate pair,
-            # conjugated in place and back: no conjugate copy of the frozen set
-            above = max(lo, i + 1)
-            tail = pair[above - lo:]
-            np.conjugate(tail, out=tail)
-            out[i] += np.einsum("j...,j...->...", frozen[above:hi], tail, out=row)
-            np.conjugate(tail, out=tail)
-            pair *= frozen[i]
-            out[lo:hi] += pair
+
+    def lane(first):
+        pairs, row = buffers[first][:-1], buffers[first][-1]  # pair rows over a scratch row
+        walk = itertools.islice(enumerate(_pair_batches(n, capacity)), first, None, lanes)
+        try:
+            for k, (batch, rows) in walk:
+                for i, lo, hi, at in batch:
+                    segment = pairs[at:at + hi - lo]
+                    np.multiply(np.conjugate(frozen[i], out=row), frozen[lo:hi], out=segment)
+                done = potential.convolve(pairs[:rows], overwrite=True)
+                with turnstile:  # the batches before this one are in `out`, or a lane failed
+                    turnstile.wait_for(lambda: added[0] == k or failed)
+                if failed:
+                    return
+                for i, lo, hi, at in batch:
+                    pair = done[at:at + hi - lo]
+                    # frozen orbitals j > i reach row i through the conjugate pair,
+                    # conjugated in place and back: no conjugate copy of the frozen set
+                    above = max(lo, i + 1)
+                    tail = pair[above - lo:]
+                    np.conjugate(tail, out=tail)
+                    out[i] += np.einsum("j...,j...->...", frozen[above:hi], tail, out=row)
+                    np.conjugate(tail, out=tail)
+                    pair *= frozen[i]
+                    out[lo:hi] += pair
+                with turnstile:
+                    added[0] += 1
+                    turnstile.notify_all()
+        except BaseException as error:
+            with turnstile:
+                failed.append(error)
+                turnstile.notify_all()
+
+    helpers = [threading.Thread(target=lane, args=(k,)) for k in range(1, lanes)]
+    for thread in helpers:
+        thread.start()
+    lane(0)
+    for thread in helpers:
+        thread.join()
+    if failed:
+        raise failed[0]
     out /= n_particles
 
 
@@ -371,7 +406,10 @@ def _fft_frozen_field(frozen, potential, grid, n_particles, basis):
     for part in columns(basis):  # q = S F and X q = S X F
         for half in (part[:n], part[n:]):
             half[...] = np.matmul(s, half, out=scratch[:, :half.shape[1]])
-    core = volume * (q.conj() @ z.T)  # core[i, j] = <q_i, X q_j>
+    # core[i, j] = <q_i, X q_j>, with q conjugated in place and back: no conjugate copy
+    np.conjugate(q, out=q)
+    core = volume * (q @ z.T)
+    np.conjugate(q, out=q)
     for q_part, z_part in zip(columns(q), columns(z)):  # z -= K^T q / 2
         image = np.matmul(core.T, q_part, out=scratch[:, :q_part.shape[1]])
         image *= 0.5

@@ -11,6 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from hflab.fock import FockSpace
+from hflab.hartree_fock import _pair_batches
 from hflab.lattice import DenseOperator, Field, spectral_multiplier_operator
 from hflab.semiclassics import PLAIN, DiagnosticsConfig, _position_multiplier
 
@@ -63,6 +64,31 @@ def exchange(block: np.ndarray, frozen: np.ndarray, potential, n_particles: int)
     frozen rows f_i, with all N k pair densities in one array (no chunks, no pair symmetry)."""
     pairs = potential.convolve(frozen.conj()[:, None] * block[None])
     return np.einsum("i...,ij...->j...", frozen, pairs) / n_particles
+
+
+def exchange_walk(frozen: np.ndarray, potential, n_particles: int, capacity: int) -> np.ndarray:
+    """The self-exchange X F on one thread, over the batches of `_pair_batches(N, capacity)`
+    in one buffer.  The library's lanes add the same batches into their result in this
+    order, so at the capacity it picks the two give the same bits."""
+    n = len(frozen)
+    pairs = np.empty((capacity,) + frozen.shape[1:], dtype=complex)
+    row = np.empty(frozen.shape[1:], dtype=complex)
+    out = np.zeros_like(frozen)
+    for batch, rows in _pair_batches(n, capacity):
+        for i, lo, hi, at in batch:
+            np.multiply(np.conjugate(frozen[i], out=row), frozen[lo:hi], out=pairs[at:at + hi - lo])
+        done = potential.convolve(pairs[:rows], overwrite=True)
+        for i, lo, hi, at in batch:
+            pair = done[at:at + hi - lo]
+            above = max(lo, i + 1)
+            tail = pair[above - lo:]
+            np.conjugate(tail, out=tail)
+            out[i] += np.einsum("j...,j...->...", frozen[above:hi], tail, out=row)
+            np.conjugate(tail, out=tail)
+            pair *= frozen[i]
+            out[lo:hi] += pair
+    out /= n_particles
+    return out
 
 
 def diagonal_density(op: DenseOperator) -> Field:

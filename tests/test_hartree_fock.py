@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +10,7 @@ import scipy.special
 from scipy.linalg import expm
 
 from references import exchange as reference_exchange
+from references import exchange_walk
 
 from hflab import fock
 from hflab import hartree_fock as hf
@@ -477,6 +481,161 @@ def test_self_exchange_pair_transform_count(monkeypatch, budget, pairs):
     monkeypatch.setattr(scipy.fft, "fftn", spy)
     self_exchange(f, pot, p.n_particles)
     assert sum(counted) == pairs
+
+
+def lane_capacity(monkeypatch):
+    """Records the batch capacities `_exchange`'s lanes ask `_pair_batches` for."""
+    seen = []
+    batches = hf._pair_batches
+
+    def spy(n, capacity):
+        seen.append(capacity)
+        return batches(n, capacity)
+
+    monkeypatch.setattr(hf, "_pair_batches", spy)
+    return seen
+
+
+def convolve_by_thread(monkeypatch, before=None):
+    """Spies on `PowerLawPotential.convolve`: the idents of the threads that call it, in the
+    order their transforms return; `before(ident)` runs ahead of each call."""
+    idents = []
+    convolve = PowerLawPotential.convolve
+
+    def spy(self, values, overwrite=False):
+        ident = threading.get_ident()
+        if before is not None:
+            before(ident)
+        done = convolve(self, values, overwrite)
+        idents.append(ident)
+        return done
+
+    monkeypatch.setattr(PowerLawPotential, "convolve", spy)
+    return idents
+
+
+def exchange_fixture(dim, m, n, seed=31):
+    g = Grid(dim, m)
+    p = ScaledParams(n, 1.0)
+    return random_slater(g, p, np.random.default_rng(seed)).orbitals, power_law_potential(g, 1.0), n
+
+
+@pytest.mark.parametrize("rows", [64, 38], ids=["odd-batches", "row-split"])
+def test_two_lane_exchange_matches_one_lane_walk(monkeypatch, rows):
+    # 3d m16 N16, 136 pairs: 64 rows of budget give two lanes of 30 rows, 5 batches; 38
+    # give lanes of 17, 8 batches; in both row 1's pairs span batches 0 and 1
+    f, pot, n = exchange_fixture(3, 16, 16)
+    monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", rows * f[0].size)
+    capacity = lane_capacity(monkeypatch)
+    idents = convolve_by_thread(monkeypatch)
+    got = self_exchange(f, pot, n)
+    assert capacity == [(rows - 4) // 2] * 2 and len(set(idents)) == 2  # a walk per lane
+    batches = [[segment[0] for segment in batch] for batch, _ in hf._pair_batches(n, capacity[0])]
+    assert batches[0][-1] == batches[1][0] == 1
+    assert len(batches) % 2 == (rows == 64)
+    assert np.array_equal(got, exchange_walk(f, pot, n, capacity[0]))
+
+
+def test_two_lane_exchange_bits_do_not_depend_on_thread_timing(monkeypatch):
+    # the helper's transforms lag, so the caller transforms batch 2 before batch 1 is
+    # back; the sums still run in batch order
+    f, pot, n = exchange_fixture(3, 16, 16)
+    expected = exchange_walk(f, pot, n, 30)
+    caller = threading.get_ident()
+    idents = convolve_by_thread(monkeypatch, lambda ident: ident != caller and time.sleep(0.1))
+    for _ in range(5):
+        idents.clear()
+        assert np.array_equal(self_exchange(f, pot, n), expected)
+        assert idents[:2] == [caller, caller]
+
+
+@pytest.mark.parametrize(
+    "dim,m,n,budget,threads",
+    [(3, 16, 16, None, 2), (3, 8, 7, None, 1), (3, 16, 16, 1, 1)],
+    ids=["two-lanes", "one-batch", "one-row"],
+)
+def test_exchange_lanes(monkeypatch, dim, m, n, budget, threads):
+    # two lanes where the pairs take more than one batch; one where they all fit one
+    # batch (every verify grid) or where the budget holds too few pair rows for two
+    if budget is not None:
+        monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", budget)
+    f, pot, n = exchange_fixture(dim, m, n)
+    idents = convolve_by_thread(monkeypatch)
+    got = self_exchange(f, pot, n)
+    assert len(set(idents)) == threads
+    assert np.max(np.abs(got - reference_exchange(f, f, pot, n))) <= 1e-12 * np.max(np.abs(got))
+
+
+def bounded(run, seconds):
+    """run() on a thread named "caller", failing the test unless it ends within `seconds`."""
+    ended = {}
+
+    def target():
+        try:
+            ended["value"] = run()
+        except BaseException as error:  # handed to the test's thread below
+            ended["error"] = error
+
+    thread = threading.Thread(target=target, name="caller", daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive()
+    if "error" in ended:
+        raise ended["error"]
+    return ended["value"]
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_exchange_lane_error_raises_and_stops_both_lanes(monkeypatch, where):
+    f, pot, n = exchange_fixture(3, 16, 16)
+
+    def fail(_):
+        if (threading.current_thread().name == "caller") == (where == "caller"):
+            raise RuntimeError(f"{where} lane failed")
+
+    idents = convolve_by_thread(monkeypatch, fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} lane failed"):
+        bounded(lambda: self_exchange(f, pot, n), 1.0)
+    assert threading.active_count() == threads
+    assert len(idents) <= 2  # the other lane stopped at its turn
+
+
+def test_exchange_lanes_under_contention(monkeypatch):
+    # four exchanges at once, each on two lanes (eight threads on two vCPUs), switching
+    # threads every microsecond: every result has the one-lane walk's bits
+    f, pot, n = exchange_fixture(3, 8, 16)
+    monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", 10 * f[0].size)  # lanes of 3 rows, 46 batches
+    expected = exchange_walk(f, pot, n, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [[] for _ in range(4)]
+        threads = [
+            threading.Thread(
+                target=lambda run=run: run.extend(self_exchange(f, pot, n) for _ in range(3)),
+                daemon=True,
+            )
+            for run in runs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(run) for run in runs] == [3] * 4
+    assert all(np.array_equal(got, expected) for run in runs for got in run)
+
+
+def test_exchange_fills_the_scaled_transform_before_the_lanes(monkeypatch):
+    # `_scaled_v_hat` is a cached_property: each lane finds it filled
+    f, pot, n = exchange_fixture(3, 16, 16)
+    filled = []  # per convolve call: whether the multiplier was already cached
+    idents = convolve_by_thread(monkeypatch, lambda _: filled.append("_scaled_v_hat" in vars(pot)))
+    self_exchange(f, pot, n)
+    assert len(set(idents)) == 2 and all(filled)
 
 
 @pytest.mark.parametrize("dim,m,n", [(1, 32, 3), (3, 8, 4)])
