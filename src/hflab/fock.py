@@ -2,9 +2,10 @@
 
 Occupation basis states are bitmasks; creation and annihilation carry the
 Jordan-Wigner sign, the parity of occupied modes below the acted index.  All
-determinant signs downstream (lifted one-particle unitaries, the particle-hole
-transformation) derive from that one convention.  The ring fluctuation run
-compares an exact Fock evolution with the HF flow on it.
+signs downstream (lifted one-particle unitaries, the particle-hole map, the
+hops of the N-particle ring Hamiltonian) derive from that one convention.  The
+ring fluctuation run evolves the N-particle amplitudes exactly and compares them
+with the HF flow; only gamma1 and the particle-hole check see all 2^m states.
 """
 
 from __future__ import annotations
@@ -80,22 +81,6 @@ class FockSpace:
         return np.nonzero(self.occupations() == n_particles)[0]
 
 
-def _creators(space: FockSpace) -> sparse.csr_matrix:
-    """The stack whose block i is a_i^*, each block of the annihilator stack transposed."""
-    stack = space.annihilators.tocoo()
-    mode, target = np.divmod(stack.row, space.dim)
-    return sparse.csr_matrix((stack.data, (mode * space.dim + stack.col, target)), stack.shape)
-
-
-def _quadratic(space: FockSpace, one_body, left, right) -> sparse.csr_matrix:
-    """left^T (O x I) right = sum_ij O_ij left_i^T right_j for two stacks of m blocks."""
-    one_body = np.asarray(one_body, dtype=complex)
-    if one_body.shape != (space.n_modes, space.n_modes):
-        raise ValueError("one-body matrix has the wrong shape")
-    kron = sparse.kron(one_body, sparse.identity(space.dim), format="csr")
-    return (left.T @ (kron @ right)).tocsr()
-
-
 def annihilate_orbital(space: FockSpace, g: np.ndarray) -> sparse.csr_matrix:
     """a(g) = sum_i conj(g_i) a_i = (conj(g)^T x I) A (antilinear in g)."""
     row = np.conj(np.asarray(g, dtype=complex))[None, :]
@@ -105,11 +90,6 @@ def annihilate_orbital(space: FockSpace, g: np.ndarray) -> sparse.csr_matrix:
 def create_orbital(space: FockSpace, f: np.ndarray) -> sparse.csr_matrix:
     """a*(f) = sum_i f_i a_i^*; the adjoint of a(f)."""
     return annihilate_orbital(space, f).conj().T.tocsr()
-
-
-def dgamma(space: FockSpace, one_body: np.ndarray) -> sparse.csr_matrix:
-    """Second quantization sum_ij O_ij a_i^* a_j = A^* (O x I) A of a mode-space operator."""
-    return _quadratic(space, one_body, space.annihilators, space.annihilators)
 
 
 def gamma1(space: FockSpace, psi: np.ndarray) -> np.ndarray:
@@ -166,22 +146,25 @@ def lift_unitary(space: FockSpace, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def second_quantized_hamiltonian(space: FockSpace, kinetic: np.ndarray,
-                                 pair_potential: np.ndarray, coupling: float) -> sparse.csr_matrix:
-    """dGamma(kinetic) + coupling * sum_{i<j} V_pair[i,j] n_i n_j (number conserving)."""
-    pair = np.triu(np.asarray(pair_potential, dtype=float), 1)
-    diag = coupling * np.einsum("ni,ij,nj->n", space.bits, pair, space.bits)
-    return (dgamma(space, kinetic) + sparse.diags(diag)).tocsr()
-
-
 def ring_hamiltonian(space: FockSpace, grid: Grid, params: ScaledParams,
-                     potential: PowerLawPotential) -> sparse.csr_matrix:
-    """Lattice-mode Hamiltonian on `space`, one mode per site: spectral kinetic hops
-    plus the regularized pair term."""
+                     potential: PowerLawPotential, n_particles: int) -> sparse.csr_matrix:
+    """The N-particle block, on `space.sector_masks(n_particles)`, of the lattice-mode
+    Hamiltonian: kinetic hops a_b^* a_a (a occupied, b empty) of value kin[b, a] and sign
+    (-1)^(below(a) + below(b) - [a < b]), below = cumsum(bits) - bits as in
+    `FockSpace.annihilators`, plus the diagonal pair term sum_{i<j} V_ij n_i n_j."""
     if space.n_modes != grid.site_count:
         raise ValueError(f"{space.n_modes} modes for a lattice of {grid.site_count} sites")
     kin = kinetic_operator(grid, params).matrix
-    return second_quantized_hamiltonian(space, kin, potential.pair_matrix, params.coupling)
+    masks = space.sector_masks(n_particles)
+    bits = space.bits[masks]
+    below = np.cumsum(bits, axis=1) - bits
+    state, a, b = np.nonzero(bits[:, :, None] > bits[:, None, :])
+    sign = 1 - 2 * ((below[state, a] + below[state, b] - (a < b)) % 2)
+    target = np.searchsorted(masks, masks[state] ^ (1 << a) ^ (1 << b))
+    pair = np.triu(potential.pair_matrix, 1)
+    diag = bits @ np.diag(kin) + params.coupling * np.einsum("ni,ij,nj->n", bits, pair, bits)
+    hops = sparse.csr_matrix((sign * kin[b, a], (target, state)), shape=(len(masks),) * 2)
+    return (hops + sparse.diags(diag)).tocsr()
 
 
 def evolve_exact(ham: sparse.csr_matrix, psi: np.ndarray, dt: float,
@@ -229,8 +212,9 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     """Fluctuation-number series n(t) for an exact ring evolution vs the HF flow.
 
     Initial state: translation-invariant Slater (lowest ring momenta), exact
-    Fock propagation of it, n(t) = fluctuation number of (gamma_t, omega_t),
-    plus the worst formula-vs-direct identity deviation over snapshots.
+    propagation of its N-particle amplitudes under the sector block of
+    `ring_hamiltonian`, n(t) = fluctuation number of (gamma_t, omega_t), plus
+    the worst formula-vs-direct identity deviation over snapshots.
     """
     grid = Grid(1, m_sites, length)
     params = ScaledParams(n_particles, alpha)
@@ -238,7 +222,8 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     if zero_potential:
         potential = replace(potential, values=np.zeros(grid.shape))
     space = FockSpace(m_sites)
-    ham = ring_hamiltonian(space, grid, params, potential)
+    sector = space.sector_masks(n_particles)
+    ham = ring_hamiltonian(space, grid, params, potential, n_particles)
     orbitals = np.array([plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)])
     initial = slater_state(grid, orbitals, params)
     modes = np.sqrt(grid.cell_volume) * orbitals.reshape(n_particles, -1)
@@ -247,12 +232,15 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
         psi = create_orbital(space, modes[j]) @ psi
     n_steps = int(round(t_final / dt))
     stride = max(1, n_steps // n_snapshots)
-    fock_snaps = evolve_exact(ham, psi, dt, n_steps, params.epsilon, stride)
+    fock_snaps = evolve_exact(ham, psi[sector], dt, n_steps, params.epsilon, stride)
     hf_snaps, _ = run_hf(initial, potential, dt, n_steps, stride)
     times, series, hs_list = [], [], []
     identity_err = 0.0
     ref = particle_hole(space, range(n_particles))
-    for (t, psi_t), (_, hf_t) in zip(fock_snaps, hf_snaps):
+    for (t, amplitudes), (_, hf_t) in zip(fock_snaps, hf_snaps):
+        # gamma1 and the particle-hole map act on the whole Fock space
+        psi_t = np.zeros(space.dim, dtype=complex)
+        psi_t[sector] = amplitudes
         gamma = gamma1(space, psi_t)
         omega = density_matrix(hf_t).matrix
         n_val = fluctuation_number(gamma, omega)
@@ -363,7 +351,7 @@ def _bound_slacks(space: FockSpace, o: np.ndarray, psi: np.ndarray) -> dict:
     """
     trials, m = o.shape[:2]
     a_stack = space.annihilators.toarray()
-    a_dag_stack = _creators(space).toarray()
+    a_dag_stack = a_stack.reshape(m, space.dim, -1).transpose(0, 2, 1).reshape(a_stack.shape)
     occ = space.occupations().astype(float)
     occ = np.stack([occ, occ**2, occ + 2.0], axis=1)
     o_psd = o @ o.conj().transpose(0, 2, 1)

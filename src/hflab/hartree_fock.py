@@ -458,11 +458,11 @@ def _dense_self_field(frozen, potential, grid, n_particles, out):
     return np.matmul(frozen, matrix, out=out)
 
 
-def _dense_frozen_field(frozen, potential, grid, n_particles, basis):
+def _dense_frozen_field(frozen, potential, grid, n_particles, _basis):
     """A for the field frozen at F, applied as block @ A, and (c, r) from Gershgorin discs.
 
     The discs are read off V o (F^* F), whose diagonal is real and non-negative, so A
-    is formed in the one pass over the matrix that forms the field itself.  `basis`,
+    is formed in the one pass over the matrix that forms the field itself.  `_basis`,
     the FFT path's scratch, is not used."""
     matrix, u_vals, scale = _dense_field_terms(frozen, potential, grid, n_particles)
     diagonal = matrix.diagonal().real

@@ -7,6 +7,8 @@ formula; the exponent helpers state the Hoelder constraint of the
 commutator-density budget.
 """
 
+import functools
+
 import numpy as np
 from scipy import sparse
 
@@ -105,11 +107,6 @@ def annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
     return space.annihilators[mode * space.dim:(mode + 1) * space.dim]
 
 
-def number_operator(space: FockSpace) -> sparse.csr_matrix:
-    """Sparse diagonal matrix of the particle number N in the occupation basis."""
-    return sparse.diags(space.occupations().astype(float)).tocsr()
-
-
 def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     """Occupation-basis Slater vector a^*(e_{s1})...a^*(e_{sN}) Omega, s ascending."""
     occupied = sorted(set(int(s) for s in occupied))
@@ -118,6 +115,65 @@ def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     psi = np.zeros(space.dim, dtype=complex)
     psi[sum(1 << s for s in occupied)] = 1.0
     return psi
+
+
+# The basis-state loops the annihilator stack and the occupation table replaced: each
+# entry is built one state at a time from its bitmask.  The full 2^m Hamiltonian the
+# sector builder is tested against is built here, from m^2 products of the a_i.
+
+
+@functools.lru_cache(maxsize=None)
+def loop_annihilator(space: FockSpace, mode: int) -> sparse.csr_matrix:
+    """a_mode |n> = (-1)^(occupied modes below mode) |n - e_mode>, one bitmask at a time.
+
+    Cached per (space, mode); callers must not write into the returned matrix."""
+    rows, cols, vals = [], [], []
+    bit = 1 << mode
+    for n in range(space.dim):
+        if n & bit:
+            rows.append(n ^ bit)
+            cols.append(n)
+            vals.append(-1.0 if (n & (bit - 1)).bit_count() % 2 else 1.0)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_products(space: FockSpace, kind: str) -> tuple:
+    """The m^2 products x_i y_j of the loop annihilators, in COO form, cached per kind:
+    a_i^* a_j ('dgamma'), a_i a_j ('annihilation') or a_i^* a_j^* ('creation')."""
+    ops = [loop_annihilator(space, i) for i in range(space.n_modes)]
+    dag = [op.conj().T for op in ops]
+    left, right = {"dgamma": (dag, ops), "annihilation": (ops, ops), "creation": (dag, dag)}[kind]
+    return tuple(tuple((x @ y).tocoo() for y in right) for x in left)
+
+
+def loop_quadratic(space: FockSpace, one_body: np.ndarray, kind: str) -> sparse.csr_matrix:
+    """sum_ij O_ij x_i y_j over the products of `_loop_products`: dGamma(O) for kind
+    'dgamma', the pair operators sum_ij O_ij a_i a_j and sum_ij O_ij a_i^* a_j^* for
+    'annihilation' and 'creation'."""
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    for i, products in enumerate(_loop_products(space, kind)):
+        for j, prod in enumerate(products):
+            if one_body[i, j] != 0:
+                rows.append(prod.row)
+                cols.append(prod.col)
+                vals.append(one_body[i, j] * prod.data)
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(space.dim, space.dim))
+
+
+def loop_hamiltonian(space: FockSpace, kinetic: np.ndarray, pair_potential: np.ndarray,
+                     coupling: float) -> sparse.csr_matrix:
+    """dGamma(kinetic) + coupling * sum_{i<j} V_ij n_i n_j on the whole 2^m Fock space."""
+    diag = np.zeros(space.dim)
+    for n in range(space.dim):
+        occ = [j for j in range(space.n_modes) if n >> j & 1]
+        e = 0.0
+        for a in range(len(occ)):
+            for b in range(a + 1, len(occ)):
+                e += pair_potential[occ[a], occ[b]]
+        diag[n] = coupling * e
+    return (loop_quadratic(space, kinetic, "dgamma") + sparse.diags(diag)).tocsr()
 
 
 def min_holder_p(alpha: float, delta: float) -> float:

@@ -12,6 +12,11 @@ Methods are matched by attribute name, not by type: `Field.norm` counts as
 called wherever any `.norm` is read (`np.linalg.norm` included).  The check
 therefore finds methods whose name nothing reads, and cannot see a method
 whose name other objects share.
+
+Parameters: every parameter of every function, method and lambda in
+`src/hflab` is read (a `Name` load) somewhere in its body, nested functions
+included.  A parameter kept only for a shared signature says so with a
+leading underscore.
 """
 
 import ast
@@ -73,6 +78,23 @@ def _uncalled_members() -> list:
     return uncalled
 
 
+def _unread_parameters(tree) -> list:
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({arg.arg})" for arg in params
+                   if not arg.arg.startswith("_") and arg.arg not in read]
+    return unread
+
+
 def test_sources_found():
     assert any(path.name == "hartree_fock.py" for path in SOURCES)
     assert any(path.name == "run.py" for path in SOURCES)
@@ -103,3 +125,21 @@ def test_member_scan_sees_methods_and_properties():
     assert [node.name for node in members] == ["p", "m"]
     # a method's reference to itself does not count as a caller
     assert [_attributes(tree)[n.name] - _attributes(n)[n.name] for n in members] == [0, 0]
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{entry}" for path, tree in _library(_trees()).items()
+              for entry in _unread_parameters(tree)]
+    assert unread == []
+
+
+def test_parameter_scan_sees_unread_parameters():
+    tree = ast.parse(
+        "def f(a, b, _c, *args, d=0, **kw):\n"
+        "    b = a\n"
+        "    def g(e):\n"
+        "        return kw, d\n"
+        "    return lambda x, y: x\n"
+    )
+    # an assignment is not a read, a nested function's read is, and _c is exempt
+    assert _unread_parameters(tree) == ["f(b)", "f(args)", "g(e)", "<lambda>(y)"]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,21 +13,20 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from references import annihilator, number_operator, slater_vector
+from references import (
+    annihilator, loop_annihilator, loop_hamiltonian, loop_quadratic, slater_vector,
+)
 
 from hflab import fock, lattice
 from hflab.fock import (
     FockSpace,
     _bound_slacks,
-    _creators,
     _draw_bound_trials,
-    _quadratic,
     _sector_annihilators,
     annihilate_orbital,
     audit_fock_operator_bounds,
     audit_window_pair_bound,
     create_orbital,
-    dgamma,
     evolve_exact,
     fluctuation_number,
     fluctuation_ring_run,
@@ -34,22 +34,10 @@ from hflab.fock import (
     lift_unitary,
     particle_hole,
     ring_hamiltonian,
-    second_quantized_hamiltonian,
 )
 from hflab.hartree_fock import CHEBYSHEV_MAX_PHASE, loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
-
-
-def pair_operator(space: FockSpace, one_body: np.ndarray,
-                  kind: str = "annihilation") -> sparse.csr_matrix:
-    """sum_ij O_ij a_i a_j (kind='annihilation') or a_i^* a_j^* (kind='creation')."""
-    if kind not in ("annihilation", "creation"):
-        raise ValueError("kind must be 'annihilation' or 'creation'")
-    ann, cre = space.annihilators, _creators(space)
-    # the block transposes of a_i^* are the a_i
-    left, right = (cre, ann) if kind == "annihilation" else (ann, cre)
-    return _quadratic(space, one_body, left, right)
 
 
 def haar_unitary(n, rng):
@@ -82,11 +70,6 @@ def test_vacuum_and_occupation():
         assert np.max(np.abs(num - np.diag(bits))) == 0.0
 
 
-def test_dgamma_identity_is_number_operator():
-    sp = FockSpace(5)
-    assert np.max(np.abs((dgamma(sp, np.eye(5)) - number_operator(sp)).toarray())) == 0.0
-
-
 def test_dgamma_expectation_equals_density_pairing():
     sp = FockSpace(5)
     rng = np.random.default_rng(0)
@@ -94,27 +77,17 @@ def test_dgamma_expectation_equals_density_pairing():
         o = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         psi /= np.linalg.norm(psi)
-        lhs = np.vdot(psi, dgamma(sp, o) @ psi)
+        lhs = np.vdot(psi, loop_quadratic(sp, o, "dgamma") @ psi)
         gam = gamma1(sp, psi)
         assert abs(lhs - np.trace(o @ gam)) < 1e-10
-
-
-def test_dgamma_adjoint_and_additivity():
-    sp = FockSpace(4)
-    rng = np.random.default_rng(1)
-    o1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    o2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    d1, d2 = dgamma(sp, o1).toarray(), dgamma(sp, o2).toarray()
-    assert np.max(np.abs(d1.conj().T - dgamma(sp, o1.conj().T).toarray())) < 1e-12
-    assert np.max(np.abs(dgamma(sp, o1 + o2).toarray() - d1 - d2)) < 1e-12
 
 
 def test_pair_operator_antisymmetric_part():
     sp = FockSpace(4)
     rng = np.random.default_rng(2)
     o = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    full = pair_operator(sp, o).toarray()
-    anti = pair_operator(sp, (o - o.T) / 2.0).toarray()
+    full = loop_quadratic(sp, o, "annihilation").toarray()
+    anti = loop_quadratic(sp, (o - o.T) / 2.0, "annihilation").toarray()
     assert np.max(np.abs(full - anti)) < 1e-12
 
 
@@ -123,14 +96,14 @@ def test_pair_operator_two_mode_hand_case():
     sp = FockSpace(2)
     o = np.zeros((2, 2), dtype=complex)
     o[0, 1] = 1.0
-    op = pair_operator(sp, o).toarray()
+    op = loop_quadratic(sp, o, "annihilation").toarray()
     state = slater_vector(sp, [0, 1])
     out = op @ state
     expect = np.zeros(4, dtype=complex)
     # a_0 a_1 |11> = a_0 (-|10>)... tracked by hand: equals -|00>
     expect[0] = -1.0
     assert np.max(np.abs(out - expect)) == 0.0
-    creation = pair_operator(sp, o, "creation").toarray()
+    creation = loop_quadratic(sp, o, "creation").toarray()
     out2 = creation @ sp.vacuum()
     # a_0^* a_1^* |00> = +|11> (adjoint of a_1 a_0 = -a_0 a_1)
     expect2 = np.zeros(4, dtype=complex)
@@ -247,10 +220,7 @@ def test_hamiltonian_single_particle_spectrum():
     g = Grid(1, 8)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
-    space = FockSpace(8)
-    ham = ring_hamiltonian(space, g, p, pot).toarray()
-    masks = space.sector_masks(1)
-    block = ham[np.ix_(masks, masks)]
+    block = ring_hamiltonian(FockSpace(8), g, p, pot, 1).toarray()
     kin = kinetic_operator(g, p).matrix
     lattice_eigs = np.sort(np.linalg.eigvalsh(kin))
     sector_eigs = np.sort(np.linalg.eigvalsh(block))
@@ -261,25 +231,11 @@ def test_hamiltonian_two_site_two_particle():
     g = Grid(1, 2, 1.0)
     p = ScaledParams(2, 1.0)
     pot = power_law_potential(g, 1.0)
-    space = FockSpace(2)
     kin = kinetic_operator(g, p).matrix
-    m = np.arange(2)
-    pair_v = pot.values.reshape(-1)[(m[:, None] - m[None, :]) % 2]
-    ham = second_quantized_hamiltonian(space, kin, pair_v, p.coupling).toarray()
-    state = slater_vector(space, [0, 1])
-    e = np.vdot(state, ham @ state).real
+    # the 2-particle sector of 2 modes is the one state |{0, 1}>
+    (e,) = ring_hamiltonian(FockSpace(2), g, p, pot, 2).toarray().real.reshape(-1)
     expected = np.trace(kin).real + pot.values.reshape(-1)[1] / 2.0
     assert e == pytest.approx(expected, abs=1e-12)
-
-
-def test_hamiltonian_number_conserving():
-    g = Grid(1, 6)
-    p = ScaledParams(2, 0.5)
-    space = FockSpace(6)
-    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
-    nop = number_operator(space)
-    comm = (ham @ nop - nop @ ham).toarray()
-    assert np.max(np.abs(comm)) < 1e-12
 
 
 def test_sector_matches_antisymmetrized_first_quantization():
@@ -287,10 +243,7 @@ def test_sector_matches_antisymmetrized_first_quantization():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
-    space = FockSpace(6)
-    ham = ring_hamiltonian(space, g, p, pot).toarray()
-    masks = space.sector_masks(2)
-    block = ham[np.ix_(masks, masks)]
+    block = ring_hamiltonian(FockSpace(6), g, p, pot, 2).toarray()
 
     kin = kinetic_operator(g, p).matrix
     m = np.arange(6)
@@ -346,10 +299,12 @@ def test_fluctuation_after_exact_evolution():
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     space = FockSpace(6)
-    ham = ring_hamiltonian(space, g, p, pot)
+    sector = space.sector_masks(2)
+    ham = ring_hamiltonian(space, g, p, pot, 2)
     psi0 = slater_vector(space, [0, 3])
-    snaps = evolve_exact(ham, psi0, 0.05, 10, p.epsilon)
-    _, psi_t = snaps[-1]
+    snaps = evolve_exact(ham, psi0[sector], 0.05, 10, p.epsilon)
+    psi_t = np.zeros(space.dim, dtype=complex)
+    psi_t[sector] = snaps[-1][1]
     assert np.linalg.norm(psi_t) == pytest.approx(1.0, abs=1e-9)
     gam = gamma1(space, psi_t)
     omega = np.diag([1.0, 0, 0, 1.0, 0, 0]).astype(complex)
@@ -414,7 +369,7 @@ BOUND_IDS = [
 
 
 def _bound_audit_reference(n_modes, trials, seed):
-    """Per-trial audit loop with the sparse dgamma/pair_operator as operators."""
+    """Per-trial audit loop with the loop-built dGamma and pair operators."""
     space = FockSpace(n_modes)
     rng = np.random.default_rng(seed)
     occ = space.occupations().astype(float)
@@ -435,10 +390,10 @@ def _bound_audit_reference(n_modes, trials, seed):
         op_norm = np.linalg.norm(o, 2)
         hs = np.linalg.norm(o)
         tr_abs = np.sum(np.linalg.svd(o, compute_uv=False))
-        dg = dgamma(space, o) @ psi
-        dg_psd = dgamma(space, o_psd) @ psi
-        pa = pair_operator(space, o, "annihilation") @ psi
-        pc = pair_operator(space, o, "creation") @ psi
+        dg = loop_quadratic(space, o, "dgamma") @ psi
+        dg_psd = loop_quadratic(space, o_psd, "dgamma") @ psi
+        pa = loop_quadratic(space, o, "annihilation") @ psi
+        pc = loop_quadratic(space, o, "creation") @ psi
         n_exp = np.real(np.vdot(psi, occ * psi))
         sqrt_n = np.linalg.norm(np.sqrt(occ) * psi)
         values = {
@@ -488,7 +443,7 @@ def _window_pair_reference(grid, n_occupied, trials, seed, conjugate_kernel=Fals
         center = rng.uniform(0.0, grid.length, size=grid.dim)
         chi = np.diag(gaussian_window(grid, center, radius).reshape(-1))
         o = v @ chi @ u
-        b_norm = np.linalg.norm(pair_operator(space, o).toarray(), 2)
+        b_norm = np.linalg.norm(loop_quadratic(space, o, "annihilation").toarray(), 2)
         tr_o = np.sum(np.linalg.svd(o, compute_uv=False))
         tr_comm = np.sum(np.linalg.svd(chi @ omega - omega @ chi, compute_uv=False))
         worst_first = max(worst_first, b_norm - 2.0 * tr_o)
@@ -513,7 +468,7 @@ def test_sector_annihilators_reassemble_dense():
     sp = FockSpace(5)
     blocks = _sector_annihilators(sp)
     for i in range(5):
-        op = _loop_annihilator(sp, i)
+        op = loop_annihilator(sp, i)
         dense = np.zeros((sp.dim, sp.dim))
         for n in range(1, 6):
             dense[np.ix_(sp.sector_masks(n - 1), sp.sector_masks(n))] = blocks[n][i]
@@ -577,11 +532,18 @@ def test_bound_slacks_per_trial_do_not_depend_on_the_block():
             assert np.array_equal(np.concatenate([p[bound] for p in parts]), slack), bound
 
 
+def ring_loop_hamiltonian(space: FockSpace, grid: Grid, params: ScaledParams, alpha: float):
+    """The whole 2^m ring Hamiltonian from the loop reference."""
+    pot = power_law_potential(grid, alpha)
+    return loop_hamiltonian(space, kinetic_operator(grid, params).matrix, pot.pair_matrix,
+                            params.coupling)
+
+
 def test_exact_evolution_matches_dense_expm():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     space = FockSpace(6)
-    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    ham = ring_loop_hamiltonian(space, g, p, 0.5)
     psi0 = slater_vector(space, [0, 1])
     snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon)
     _, psi_t = snaps[-1]
@@ -607,7 +569,7 @@ def test_exact_evolution_one_chebyshev_series_per_report(monkeypatch):
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     space = FockSpace(6)
-    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    ham = ring_loop_hamiltonian(space, g, p, 0.5)
     psi0 = slater_vector(space, [0, 1])
     snaps = evolve_exact(ham, psi0, 0.1, 5, p.epsilon, snapshot_every=2)
     assert len(phases) == 3  # reports after steps 2, 4 and 5
@@ -622,7 +584,7 @@ def ring_case(m: int, seed: int = 1):
     g = Grid(1, m)
     p = ScaledParams(2, 0.5)
     space = FockSpace(m)
-    ham = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    ham = ring_loop_hamiltonian(space, g, p, 0.5)
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     return space, p, ham, psi / np.linalg.norm(psi)
@@ -642,15 +604,19 @@ def test_exact_evolution_matches_expm_multiply(m):
 
 
 def test_exact_evolution_on_a_sector_block_matches_the_full_space():
+    # the builder's block against the loop-built 2^m H, from the same N-particle state
     space, p, ham, psi = ring_case(6)
-    sector = space.sector_masks(2)
-    psi0 = np.zeros_like(psi)
-    psi0[sector] = psi[sector] / np.linalg.norm(psi[sector])
-    full = evolve_exact(ham, psi0, 1e-2, 100, p.epsilon, 25)
-    block = evolve_exact(ham[sector][:, sector], psi0[sector], 1e-2, 100, p.epsilon, 25)
-    for (t, psi_t), (s, chi_t) in zip(full, block):
-        assert t == s
-        assert np.max(np.abs(psi_t[sector] - chi_t)) <= 1e-12
+    g = Grid(1, 6)
+    for n in (1, 2, 3):
+        sector = space.sector_masks(n)
+        psi0 = np.zeros_like(psi)
+        psi0[sector] = psi[sector] / np.linalg.norm(psi[sector])
+        full = evolve_exact(ham, psi0, 1e-2, 100, p.epsilon, 25)
+        block = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5), n)
+        for (t, psi_t), (s, chi_t) in zip(full, evolve_exact(block, psi0[sector], 1e-2, 100,
+                                                             p.epsilon, 25)):
+            assert t == s
+            assert np.max(np.abs(psi_t[sector] - chi_t)) <= 1e-12
 
 
 def test_long_report_splits_into_equal_series(monkeypatch):
@@ -683,19 +649,8 @@ def test_fluctuation_ring_verify_loads_no_scipy_linalg():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-# The basis-state loops the stack and the occupation table replaced, kept as
-# references: each entry is built one state at a time from its bitmask.
-
-
-def _loop_annihilator(space, mode):
-    rows, cols, vals = [], [], []
-    bit = 1 << mode
-    for n in range(space.dim):
-        if n & bit:
-            rows.append(n ^ bit)
-            cols.append(n)
-            vals.append(-1.0 if (n & (bit - 1)).bit_count() % 2 else 1.0)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
+# The basis-state loop the occupation table replaced, kept as a reference: each
+# entry is built one state at a time from its bitmask (the others are in references.py).
 
 
 def _loop_particle_hole(space, occupied):
@@ -710,35 +665,10 @@ def _loop_particle_hole(space, occupied):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex)
 
 
-def _loop_quadratic(space, one_body, kind):
-    """sum_ij O_ij x_i y_j as m^2 sparse products of the loop annihilators."""
-    ops = [_loop_annihilator(space, i) for i in range(space.n_modes)]
-    dag = [op.conj().T for op in ops]
-    left, right = {"dgamma": (dag, ops), "annihilation": (ops, ops), "creation": (dag, dag)}[kind]
-    out = sparse.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.n_modes):
-        for j in range(space.n_modes):
-            if one_body[i, j] != 0:
-                out = out + one_body[i, j] * (left[i] @ right[j])
-    return out
-
-
-def _loop_hamiltonian(space, kinetic, pair_potential, coupling):
-    diag = np.zeros(space.dim)
-    for n in range(space.dim):
-        occ = [j for j in range(space.n_modes) if n >> j & 1]
-        e = 0.0
-        for a in range(len(occ)):
-            for b in range(a + 1, len(occ)):
-                e += pair_potential[occ[a], occ[b]]
-        diag[n] = coupling * e
-    return _loop_quadratic(space, kinetic, "dgamma") + sparse.diags(diag)
-
-
 @pytest.mark.parametrize("m", range(1, 9))
 def test_annihilator_stack_matches_loop_bitwise(m):
     sp = FockSpace(m)
-    loop = [_loop_annihilator(sp, i).toarray() for i in range(m)]
+    loop = [loop_annihilator(sp, i).toarray() for i in range(m)]
     assert np.array_equal(sp.annihilators.toarray(), np.concatenate(loop))
     for i in range(m):
         assert np.array_equal(annihilator(sp, i).toarray(), loop[i])
@@ -753,31 +683,38 @@ def test_particle_hole_matches_loop_bitwise(occupied):
     assert fast.dtype == loop.dtype and np.array_equal(fast.toarray(), loop.toarray())
 
 
-@pytest.mark.parametrize("kind", ["dgamma", "annihilation", "creation"])
-def test_quadratic_operators_match_loop_products(kind):
-    sp = FockSpace(5)
-    rng = np.random.default_rng(14)
-    o = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    fast = dgamma(sp, o) if kind == "dgamma" else pair_operator(sp, o, kind)
-    assert np.max(np.abs(fast.toarray() - _loop_quadratic(sp, o, kind).toarray())) <= 1e-13
-
-
 @pytest.mark.parametrize("m", [6, 8])
 def test_ring_hamiltonian_matches_loop_build(m):
+    # every sector's block of the loop-built 2^m H, with V(x - y) gathered by hand
     g = Grid(1, m)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
     idx = np.arange(m)
     pair_v = pot.values.reshape(-1)[(idx[:, None] - idx[None, :]) % m]
     space = FockSpace(m)
-    ref = _loop_hamiltonian(space, kinetic_operator(g, p).matrix, pair_v, p.coupling)
-    assert np.max(np.abs(ring_hamiltonian(space, g, p, pot).toarray() - ref.toarray())) <= 1e-13
+    ref = loop_hamiltonian(space, kinetic_operator(g, p).matrix, pair_v, p.coupling).toarray()
+    for n in range(m + 1):
+        masks = space.sector_masks(n)
+        block, expected = ring_hamiltonian(space, g, p, pot, n).toarray(), ref[np.ix_(masks, masks)]
+        off = ~np.eye(len(masks), dtype=bool)
+        assert np.array_equal(block[off], expected[off]), n
+        assert np.max(np.abs(np.diag(block) - np.diag(expected))) <= 1e-14, n
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_ring_hamiltonian_is_hermitian(m):
+    g = Grid(1, m)
+    p = ScaledParams(2, 0.5)
+    for n in range(m + 1):
+        ham = ring_hamiltonian(FockSpace(m), g, p, power_law_potential(g, 0.5), n)
+        assert ham.shape == (math.comb(m, n),) * 2
+        assert np.max(np.abs((ham - ham.conj().T).toarray()), initial=0.0) <= 1e-15, n
 
 
 def test_ring_hamiltonian_rejects_a_space_of_another_size():
     g = Grid(1, 6)
     with pytest.raises(ValueError):
-        ring_hamiltonian(FockSpace(8), g, ScaledParams(2, 0.5), power_law_potential(g, 0.5))
+        ring_hamiltonian(FockSpace(8), g, ScaledParams(2, 0.5), power_law_potential(g, 0.5), 2)
 
 
 def test_fluctuation_ring_run_builds_one_annihilator_stack(monkeypatch):
@@ -793,3 +730,31 @@ def test_fluctuation_ring_run_builds_one_annihilator_stack(monkeypatch):
     monkeypatch.setattr(FockSpace, "annihilators", stack)
     fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
     assert builds == [8]
+
+
+def test_created_slater_state_lives_in_its_sector():
+    # the ring run keeps only psi[sector] of its create_orbital start state
+    sp = FockSpace(6)
+    w = haar_unitary(6, np.random.default_rng(15))
+    psi = sp.vacuum()
+    for j in (2, 1, 0):
+        psi = create_orbital(sp, w[:, j]) @ psi
+    outside = np.ones(sp.dim, dtype=bool)
+    outside[sp.sector_masks(3)] = False
+    assert np.all(psi[outside] == 0.0)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fluctuation_ring_run_evolves_the_sector_amplitudes(monkeypatch):
+    # two particles on eight sites: C(8, 2) = 28 amplitudes, not 2^8 = 256
+    lengths = []
+    real = fock.evolve_exact
+
+    def spy(ham, psi, *args):
+        lengths.append((ham.shape, psi.shape))
+        return real(ham, psi, *args)
+
+    monkeypatch.setattr(fock, "evolve_exact", spy)
+    run = fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
+    assert lengths == [((28, 28), (28,))]
+    assert run["identity_err"] < 1e-10

@@ -10,7 +10,7 @@ import scipy.special
 from scipy.linalg import expm
 
 from references import exchange as reference_exchange
-from references import exchange_walk
+from references import exchange_walk, loop_hamiltonian
 
 from hflab import fock
 from hflab import hartree_fock as hf
@@ -1053,7 +1053,8 @@ def test_exact_flow_matches_out_of_place_series(monkeypatch):
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     space = fock.FockSpace(6)
-    ham = fock.ring_hamiltonian(space, g, p, power_law_potential(g, 0.5))
+    pot = power_law_potential(g, 0.5)
+    ham = loop_hamiltonian(space, kinetic_operator(g, p).matrix, pot.pair_matrix, p.coupling)
     psi0 = np.zeros(space.dim, dtype=complex)
     psi0[[3, 5]] = [0.6, 0.8j]  # two particles, in modes {0, 1} and {0, 2}
     monkeypatch.setattr(hf, "STEP_CHUNK_POINTS", 1)
