@@ -1,11 +1,9 @@
-"""Exact finite-mode fermionic Fock space (up to 12 modes).
+"""Exact finite-mode fermionic dynamics: the N-particle ring flow and the Fock-space audits.
 
-Occupation basis states are bitmasks; creation and annihilation carry the
-Jordan-Wigner sign, the parity of occupied modes below the acted index.  All
-signs downstream (lifted one-particle unitaries, the particle-hole map, the
-hops of the N-particle ring Hamiltonian) derive from that one convention.  The
-ring fluctuation run evolves the N-particle amplitudes exactly and compares them
-with the HF flow; only gamma1 and the particle-hole check see all 2^m states.
+Occupation basis states are bitmasks; a_i carries the Jordan-Wigner sign (the parity of the
+occupied modes below i) that every sign downstream derives from.  A `Sector` holds the C(m, N)
+states of N particles and no 2^m table: the ring flow's Hamiltonian, gamma1 and particle-hole
+check live there.  `FockSpace` holds all 2^m states, up to 12 modes, for the bound audits.
 """
 
 from __future__ import annotations
@@ -26,7 +24,11 @@ from hflab.potentials import PowerLawPotential, gaussian_window, power_law_poten
 from hflab.states import lowest_modes, plane_wave
 
 MODE_CAP = 12
-LIFT_CAP = 10
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,7 @@ class FockSpace:
     @cached_property
     def bits(self) -> np.ndarray:
         """Read-only occupation table: bits[n, i] = 1 if mode i is occupied in state n."""
-        out = (np.arange(self.dim)[:, None] >> np.arange(self.n_modes)) & 1
-        out.flags.writeable = False
-        return out
+        return _read_only((np.arange(self.dim)[:, None] >> np.arange(self.n_modes)) & 1)
 
     @cached_property
     def annihilators(self) -> sparse.csr_matrix:
@@ -72,30 +72,51 @@ class FockSpace:
     def occupations(self) -> np.ndarray:
         return self.bits.sum(axis=1)
 
-    def vacuum(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
 
-    def sector_masks(self, n_particles: int) -> np.ndarray:
-        return np.nonzero(self.occupations() == n_particles)[0]
+@dataclass(frozen=True)
+class Sector:
+    """N particles in m <= 63 modes: C(m, N) int64 bitmasks, ascending; read-only, no 2^m table."""
+
+    n_modes: int
+    n_particles: int
+
+    def __post_init__(self):
+        if not 0 <= self.n_particles <= self.n_modes <= 63:  # int64 bitmasks
+            raise ValueError(f"no {self.n_particles}-particle sector of {self.n_modes} modes")
+
+    @cached_property
+    def occupied(self) -> np.ndarray:
+        combos = itertools.combinations(range(self.n_modes), self.n_particles)
+        subsets = np.array(list(combos), dtype=np.int64)
+        return _read_only(subsets[np.argsort(np.sum(1 << subsets, axis=1))])
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        return _read_only(np.sum(1 << self.occupied, axis=1))
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        return _read_only((self.masks[:, None] >> np.arange(self.n_modes)) & 1)
+
+    @cached_property
+    def hops(self) -> tuple:
+        """(state, a, b, sign, target): a_b^* a_a |state> = sign |target> for every occupied a
+        and empty b, sign = (-1)^(below(a) + below(b) - [a < b]), below = cumsum(bits) - bits."""
+        masks, bits = self.masks, self.bits
+        below = np.cumsum(bits, axis=1) - bits
+        state, a, b = np.nonzero(bits[:, :, None] > bits[:, None, :])
+        sign = 1 - 2 * ((below[state, a] + below[state, b] - (a < b)) % 2)
+        target = np.searchsorted(masks, masks[state] ^ (1 << a) ^ (1 << b))
+        return tuple(_read_only(x) for x in (state, a, b, sign, target))
 
 
-def annihilate_orbital(space: FockSpace, g: np.ndarray) -> sparse.csr_matrix:
-    """a(g) = sum_i conj(g_i) a_i = (conj(g)^T x I) A (antilinear in g)."""
-    row = np.conj(np.asarray(g, dtype=complex))[None, :]
-    return sparse.kron(row, sparse.identity(space.dim), format="csr") @ space.annihilators
-
-
-def create_orbital(space: FockSpace, f: np.ndarray) -> sparse.csr_matrix:
-    """a*(f) = sum_i f_i a_i^*; the adjoint of a(f)."""
-    return annihilate_orbital(space, f).conj().T.tocsr()
-
-
-def gamma1(space: FockSpace, psi: np.ndarray) -> np.ndarray:
-    """One-particle reduced density gamma_ij = <psi, a_j^* a_i psi>."""
-    rows = (space.annihilators @ psi).reshape(space.n_modes, space.dim)
-    return rows @ rows.conj().T
+def gamma1(sector: Sector, psi: np.ndarray) -> np.ndarray:
+    """One-particle reduced density gamma_ab = <psi, a_b^* a_a psi> of sector amplitudes psi:
+    sign conj(psi[target]) psi[state] summed over the hops, |psi|^2 @ bits on the diagonal."""
+    (state, a, b, sign, target), m = sector.hops, sector.n_modes
+    terms, pairs = sign * np.conj(psi[target]) * psi[state], a * m + b
+    flat = np.bincount(pairs, terms.real, m * m) + 1j * np.bincount(pairs, terms.imag, m * m)
+    return flat.reshape(m, m) + np.diag(np.abs(psi) ** 2 @ sector.bits)
 
 
 def fluctuation_number(gamma: np.ndarray, omega: np.ndarray) -> float:
@@ -104,66 +125,28 @@ def fluctuation_number(gamma: np.ndarray, omega: np.ndarray) -> float:
     return float(np.trace(gamma).real + np.trace(omega).real - 2.0 * np.trace(omega @ gamma).real)
 
 
-def particle_hole(space: FockSpace, occupied) -> sparse.csr_matrix:
-    """Unitary R with R Omega = Slater(occupied) and R* a(g) R = a(u g) + a*(vbar gbar).
-
-    Only basis-diagonal projections are supported: `occupied` is the mode
-    subset S, u = 1 - 1_S, vbar = 1_S.  R is the signed occupation flip
-    R|n> = (-1)^(sum_{j in n} |S below j|) |n xor S>.
-    """
-    occupied = sorted(set(int(s) for s in occupied))
-    if occupied and not 0 <= occupied[-1] < space.n_modes:
-        raise ValueError("occupied mode out of range")
-    s_mask = sum(1 << s for s in occupied)
-    s_bits = space.bits[s_mask]
-    parity = (space.bits @ (np.cumsum(s_bits) - s_bits)) % 2
-    states = np.arange(space.dim)
-    return sparse.csr_matrix(
-        ((1 - 2 * parity).astype(complex), (states ^ s_mask, states)),
-        shape=(space.dim, space.dim),
-    )
-
-
-def lift_unitary(space: FockSpace, w: np.ndarray) -> np.ndarray:
-    """Multiplicative lift of a one-particle unitary: <S'|Gamma(W)|S> = det W[S'|S].
-
-    Block diagonal across particle-number sectors; Gamma(W) a*(f) Gamma(W)* = a*(W f).
-    """
+def lift_unitary(sector: Sector, w: np.ndarray) -> np.ndarray:
+    """The sector block <S'|Gamma(W)|S> = det W[S'|S] of the lift of a one-particle unitary;
+    Gamma(W) keeps every sector, and Gamma(W) a*(f) Gamma(W)* = a*(W f)."""
     w = np.asarray(w, dtype=complex)
-    if w.shape != (space.n_modes, space.n_modes):
-        raise ValueError("one-particle map has the wrong shape")
-    if np.max(np.abs(w.conj().T @ w - np.eye(space.n_modes))) > 1e-10:
-        raise ValueError("one-particle map is not unitary")
-    if space.n_modes > LIFT_CAP:
-        raise ValueError(f"lift supported up to {LIFT_CAP} modes")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[0, 0] = 1.0
-    for k in range(1, space.n_modes + 1):
-        subsets = np.array(list(itertools.combinations(range(space.n_modes), k)))
-        masks = np.sum(1 << subsets, axis=1)
-        minors = w[subsets[:, None, :, None], subsets[None, :, None, :]]
-        out[np.ix_(masks, masks)] = np.linalg.det(minors)
-    return out
+    if w.shape != (sector.n_modes,) * 2 or np.max(np.abs(w.conj().T @ w - np.eye(len(w)))) > 1e-10:
+        raise ValueError("one-particle map is not a unitary on the sector's modes")
+    occ = sector.occupied
+    return np.linalg.det(w[occ[:, None, :, None], occ[None, :, None, :]])
 
 
-def ring_hamiltonian(space: FockSpace, grid: Grid, params: ScaledParams,
-                     potential: PowerLawPotential, n_particles: int) -> sparse.csr_matrix:
-    """The N-particle block, on `space.sector_masks(n_particles)`, of the lattice-mode
-    Hamiltonian: kinetic hops a_b^* a_a (a occupied, b empty) of value kin[b, a] and sign
-    (-1)^(below(a) + below(b) - [a < b]), below = cumsum(bits) - bits as in
-    `FockSpace.annihilators`, plus the diagonal pair term sum_{i<j} V_ij n_i n_j."""
-    if space.n_modes != grid.site_count:
-        raise ValueError(f"{space.n_modes} modes for a lattice of {grid.site_count} sites")
-    kin = kinetic_operator(grid, params).matrix
-    masks = space.sector_masks(n_particles)
-    bits = space.bits[masks]
-    below = np.cumsum(bits, axis=1) - bits
-    state, a, b = np.nonzero(bits[:, :, None] > bits[:, None, :])
-    sign = 1 - 2 * ((below[state, a] + below[state, b] - (a < b)) % 2)
-    target = np.searchsorted(masks, masks[state] ^ (1 << a) ^ (1 << b))
+def ring_hamiltonian(sector: Sector, grid: Grid, params: ScaledParams,
+                     potential: PowerLawPotential) -> sparse.csr_matrix:
+    """The lattice-mode Hamiltonian on `sector`, a real matrix: the hops a_b^* a_a of
+    `Sector.hops` times kin[b, a], plus the diagonal pair term sum_{i<j} V_ij n_i n_j."""
+    if sector.n_modes != grid.site_count:
+        raise ValueError(f"{sector.n_modes} modes for a lattice of {grid.site_count} sites")
+    # the 1d ring's k^2 is even, so the kinetic matrix is real up to |Im| <= 3.4e-15 (m <= 24)
+    kin = kinetic_operator(grid, params).matrix.real
+    (state, a, b, sign, target), bits = sector.hops, sector.bits
     pair = np.triu(potential.pair_matrix, 1)
     diag = bits @ np.diag(kin) + params.coupling * np.einsum("ni,ij,nj->n", bits, pair, bits)
-    hops = sparse.csr_matrix((sign * kin[b, a], (target, state)), shape=(len(masks),) * 2)
+    hops = sparse.csr_matrix((sign * kin[b, a], (target, state)), shape=(len(bits),) * 2)
     return (hops + sparse.diags(diag)).tocsr()
 
 
@@ -212,44 +195,39 @@ def fluctuation_ring_run(m_sites: int, n_particles: int, alpha: float, dt: float
     """Fluctuation-number series n(t) for an exact ring evolution vs the HF flow.
 
     Initial state: translation-invariant Slater (lowest ring momenta), exact
-    propagation of its N-particle amplitudes under the sector block of
-    `ring_hamiltonian`, n(t) = fluctuation number of (gamma_t, omega_t), plus
-    the worst formula-vs-direct identity deviation over snapshots.
+    propagation of its N-particle amplitudes under `ring_hamiltonian`,
+    n(t) = fluctuation number of (gamma_t, omega_t), plus the worst formula-vs-direct
+    identity deviation over snapshots, all on the C(m, N) amplitudes of the sector.
     """
     grid = Grid(1, m_sites, length)
     params = ScaledParams(n_particles, alpha)
     potential = power_law_potential(grid, alpha)
     if zero_potential:
         potential = replace(potential, values=np.zeros(grid.shape))
-    space = FockSpace(m_sites)
-    sector = space.sector_masks(n_particles)
-    ham = ring_hamiltonian(space, grid, params, potential, n_particles)
+    sector = Sector(m_sites, n_particles)
+    ham = ring_hamiltonian(sector, grid, params, potential)
     orbitals = np.array([plane_wave(grid, mv).values for mv in lowest_modes(grid, n_particles)])
     initial = slater_state(grid, orbitals, params)
     modes = np.sqrt(grid.cell_volume) * orbitals.reshape(n_particles, -1)
-    psi = space.vacuum()
-    for j in range(n_particles - 1, -1, -1):
-        psi = create_orbital(space, modes[j]) @ psi
+    # <S| a*(f_0) ... a*(f_{N-1}) Omega> = det f_j(s_k) over the modes s_k of S
+    psi = np.linalg.det(modes.T[sector.occupied])
     n_steps = int(round(t_final / dt))
     stride = max(1, n_steps // n_snapshots)
-    fock_snaps = evolve_exact(ham, psi[sector], dt, n_steps, params.epsilon, stride)
+    fock_snaps = evolve_exact(ham, psi, dt, n_steps, params.epsilon, stride)
     hf_snaps, _ = run_hf(initial, potential, dt, n_steps, stride)
     times, series, hs_list = [], [], []
     identity_err = 0.0
-    ref = particle_hole(space, range(n_particles))
+    # |S xor S_0| for S_0 = {0, ..., N-1}, the modes the particle-hole map R flips
+    flips = 2 * (n_particles - sector.bits[:, :n_particles].sum(axis=1))
     for (t, amplitudes), (_, hf_t) in zip(fock_snaps, hf_snaps):
-        # gamma1 and the particle-hole map act on the whole Fock space
-        psi_t = np.zeros(space.dim, dtype=complex)
-        psi_t[sector] = amplitudes
-        gamma = gamma1(space, psi_t)
+        gamma = gamma1(sector, amplitudes)
         omega = density_matrix(hf_t).matrix
         n_val = fluctuation_number(gamma, omega)
-        # direct expectation through the transported particle-hole unitary
+        # direct <psi, R_t N R_t^* psi>, R_t = Gamma(W) R Gamma(W)^*: Gamma(W) keeps the sector
+        # and commutes with N, and R is a signed occupation flip, so only its N block enters
         w_t = _extend_unitary(np.sqrt(grid.cell_volume) * hf_t.orbitals.reshape(n_particles, -1).T)
-        lift = lift_unitary(space, w_t)
-        # chi = r_t^* psi_t for r_t = lift ref lift^*, with ref a real signed permutation
-        chi = lift @ (ref.T @ (lift.conj().T @ psi_t))
-        direct = float(np.real(np.vdot(chi, space.occupations() * chi)))
+        rotated = lift_unitary(sector, w_t).conj().T @ amplitudes
+        direct = float(np.abs(rotated) ** 2 @ flips)
         identity_err = max(identity_err, abs(direct - n_val))
         times.append(t)
         series.append(n_val)
@@ -304,7 +282,7 @@ class BoundRecord:
 def _sector_annihilators(space: FockSpace) -> list:
     """Blocks A[n][i] = a_i restricted to sector n -> sector n - 1, bases in bitmask order."""
     m, dim = space.n_modes, space.dim
-    masks = [space.sector_masks(n) for n in range(m + 1)]
+    masks = [Sector(m, n).masks for n in range(m + 1)]
     blocks = [None]
     for n in range(1, m + 1):
         rows = (np.arange(m)[:, None] * dim + masks[n - 1]).reshape(-1)
@@ -423,7 +401,7 @@ def audit_window_pair_bound(grid: Grid, n_occupied: int, trials: int, seed: int)
 
     For orthonormal orbitals f_j, omega = sum_j |f_j><f_j|, u = 1 - omega and
     v = sum_j |conj f_j><f_j|, the kernel sum_j conj f_j(x) conj f_j(y), as in
-    the particle-hole map R* a(g) R = a(u g) + a*(vbar gbar) of `particle_hole`.
+    the particle-hole map R* a(g) R = a(u g) + a*(vbar gbar).
     With a(g) = sum_i conj(g_i) a_i, the pair operator
     int chi(x) a(u_x) a(vbar_x) dx is sum_ij (ubar chi v)_ij a_i a_j, whose
     matrix has the trace norm of o = v chi u.  Then v = v omega, ||v|| <= 1

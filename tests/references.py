@@ -8,6 +8,7 @@ commutator-density budget.
 """
 
 import functools
+import itertools
 
 import numpy as np
 from scipy import sparse
@@ -115,6 +116,78 @@ def slater_vector(space: FockSpace, occupied) -> np.ndarray:
     psi = np.zeros(space.dim, dtype=complex)
     psi[sum(1 << s for s in occupied)] = 1.0
     return psi
+
+
+# The whole-Fock-space operators on all 2^m states: creation and annihilation of an orbital,
+# the particle-hole map, the one-particle density and the lift of a one-particle unitary.
+# The library works on one particle-number sector; these check it and the CAR algebra.
+
+LIFT_CAP = 10
+
+
+def vacuum(space: FockSpace) -> np.ndarray:
+    psi = np.zeros(space.dim, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
+
+def annihilate_orbital(space: FockSpace, g: np.ndarray) -> sparse.csr_matrix:
+    """a(g) = sum_i conj(g_i) a_i = (conj(g)^T x I) A (antilinear in g)."""
+    row = np.conj(np.asarray(g, dtype=complex))[None, :]
+    return sparse.kron(row, sparse.identity(space.dim), format="csr") @ space.annihilators
+
+
+def create_orbital(space: FockSpace, f: np.ndarray) -> sparse.csr_matrix:
+    """a*(f) = sum_i f_i a_i^*; the adjoint of a(f)."""
+    return annihilate_orbital(space, f).conj().T.tocsr()
+
+
+def fock_gamma1(space: FockSpace, psi: np.ndarray) -> np.ndarray:
+    """One-particle reduced density gamma_ij = <psi, a_j^* a_i psi> of a 2^m vector."""
+    rows = (space.annihilators @ psi).reshape(space.n_modes, space.dim)
+    return rows @ rows.conj().T
+
+
+def particle_hole(space: FockSpace, occupied) -> sparse.csr_matrix:
+    """Unitary R with R Omega = Slater(occupied) and R* a(g) R = a(u g) + a*(vbar gbar).
+
+    Only basis-diagonal projections are supported: `occupied` is the mode
+    subset S, u = 1 - 1_S, vbar = 1_S.  R is the signed occupation flip
+    R|n> = (-1)^(sum_{j in n} |S below j|) |n xor S>.
+    """
+    occupied = sorted(set(int(s) for s in occupied))
+    if occupied and not 0 <= occupied[-1] < space.n_modes:
+        raise ValueError("occupied mode out of range")
+    s_mask = sum(1 << s for s in occupied)
+    s_bits = space.bits[s_mask]
+    parity = (space.bits @ (np.cumsum(s_bits) - s_bits)) % 2
+    states = np.arange(space.dim)
+    return sparse.csr_matrix(
+        ((1 - 2 * parity).astype(complex), (states ^ s_mask, states)),
+        shape=(space.dim, space.dim),
+    )
+
+
+def fock_lift_unitary(space: FockSpace, w: np.ndarray) -> np.ndarray:
+    """Multiplicative lift of a one-particle unitary: <S'|Gamma(W)|S> = det W[S'|S].
+
+    Block diagonal across particle-number sectors; Gamma(W) a*(f) Gamma(W)* = a*(W f).
+    """
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (space.n_modes, space.n_modes):
+        raise ValueError("one-particle map has the wrong shape")
+    if np.max(np.abs(w.conj().T @ w - np.eye(space.n_modes))) > 1e-10:
+        raise ValueError("one-particle map is not unitary")
+    if space.n_modes > LIFT_CAP:
+        raise ValueError(f"lift supported up to {LIFT_CAP} modes")
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[0, 0] = 1.0
+    for k in range(1, space.n_modes + 1):
+        subsets = np.array(list(itertools.combinations(range(space.n_modes), k)))
+        masks = np.sum(1 << subsets, axis=1)
+        minors = w[subsets[:, None, :, None], subsets[None, :, None, :]]
+        out[np.ix_(masks, masks)] = np.linalg.det(minors)
+    return out
 
 
 # The basis-state loops the annihilator stack and the occupation table replaced: each

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import os
@@ -14,30 +13,39 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from references import (
-    annihilator, loop_annihilator, loop_hamiltonian, loop_quadratic, slater_vector,
+    annihilate_orbital,
+    annihilator,
+    create_orbital,
+    fock_gamma1,
+    fock_lift_unitary,
+    loop_annihilator,
+    loop_hamiltonian,
+    loop_quadratic,
+    particle_hole,
+    slater_vector,
+    vacuum,
 )
 
 from hflab import fock, lattice
 from hflab.fock import (
     FockSpace,
+    Sector,
     _bound_slacks,
     _draw_bound_trials,
     _sector_annihilators,
-    annihilate_orbital,
     audit_fock_operator_bounds,
     audit_window_pair_bound,
-    create_orbital,
     evolve_exact,
     fluctuation_number,
     fluctuation_ring_run,
     gamma1,
     lift_unitary,
-    particle_hole,
     ring_hamiltonian,
 )
 from hflab.hartree_fock import CHEBYSHEV_MAX_PHASE, loewdin_orthonormalize
 from hflab.lattice import Grid, ScaledParams, kinetic_operator
 from hflab.potentials import gaussian_window, power_law_potential
+from hflab.states import lowest_modes, plane_wave
 
 
 def haar_unitary(n, rng):
@@ -62,7 +70,7 @@ def test_car_relations_exact():
 def test_vacuum_and_occupation():
     sp = FockSpace(4)
     for i in range(4):
-        assert np.max(np.abs(annihilator(sp, i) @ sp.vacuum())) == 0.0
+        assert np.max(np.abs(annihilator(sp, i) @ vacuum(sp))) == 0.0
     # a_i^* a_i reads the occupation bit
     for i in range(4):
         num = (annihilator(sp, i).T @ annihilator(sp, i)).toarray()
@@ -78,7 +86,7 @@ def test_dgamma_expectation_equals_density_pairing():
         psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         psi /= np.linalg.norm(psi)
         lhs = np.vdot(psi, loop_quadratic(sp, o, "dgamma") @ psi)
-        gam = gamma1(sp, psi)
+        gam = fock_gamma1(sp, psi)
         assert abs(lhs - np.trace(o @ gam)) < 1e-10
 
 
@@ -104,7 +112,7 @@ def test_pair_operator_two_mode_hand_case():
     expect[0] = -1.0
     assert np.max(np.abs(out - expect)) == 0.0
     creation = loop_quadratic(sp, o, "creation").toarray()
-    out2 = creation @ sp.vacuum()
+    out2 = creation @ vacuum(sp)
     # a_0^* a_1^* |00> = +|11> (adjoint of a_1 a_0 = -a_0 a_1)
     expect2 = np.zeros(4, dtype=complex)
     expect2[3] = 1.0
@@ -114,7 +122,7 @@ def test_pair_operator_two_mode_hand_case():
 def test_slater_vector_and_construction_agree():
     sp = FockSpace(6)
     occ = [1, 3, 4]
-    direct = sp.vacuum()
+    direct = vacuum(sp)
     for s in sorted(occ, reverse=True):
         direct = annihilator(sp, s).T @ direct
     assert np.max(np.abs(slater_vector(sp, occ) - direct)) == 0.0
@@ -125,14 +133,14 @@ def test_particle_hole_generates_slater():
     occ = [0, 2, 5]
     r = particle_hole(sp, occ).toarray()
     assert np.max(np.abs(r.conj().T @ r - np.eye(sp.dim))) == 0.0
-    assert np.max(np.abs(r @ sp.vacuum() - slater_vector(sp, occ))) == 0.0
+    assert np.max(np.abs(r @ vacuum(sp) - slater_vector(sp, occ))) == 0.0
 
 
 def test_particle_hole_reduced_density():
     sp = FockSpace(6)
     occ = [0, 2, 5]
-    psi = particle_hole(sp, occ) @ sp.vacuum()
-    gam = gamma1(sp, psi)
+    psi = particle_hole(sp, occ) @ vacuum(sp)
+    gam = fock_gamma1(sp, psi)
     expect = np.diag([1.0 if i in occ else 0.0 for i in range(6)])
     assert np.max(np.abs(gam - expect)) < 1e-12
 
@@ -155,10 +163,10 @@ def test_particle_hole_conjugation_identity():
 
 def test_lift_identity_and_permutation():
     sp = FockSpace(4)
-    assert np.max(np.abs(lift_unitary(sp, np.eye(4)) - np.eye(sp.dim))) == 0.0
+    assert np.max(np.abs(fock_lift_unitary(sp, np.eye(4)) - np.eye(sp.dim))) == 0.0
     # transposition of modes 0,1: basis states map with fermionic signs
     p = np.eye(4)[:, [1, 0, 2, 3]]
-    g = lift_unitary(sp, p)
+    g = fock_lift_unitary(sp, p)
     assert np.max(np.abs(g @ g - np.eye(sp.dim))) < 1e-12
     v01 = slater_vector(sp, [0, 1])
     assert np.max(np.abs(g @ v01 + v01)) < 1e-12  # swap flips the pair sign
@@ -170,10 +178,10 @@ def test_lift_rotated_slater_dual_construction():
     sp = FockSpace(6)
     rng = np.random.default_rng(4)
     w = haar_unitary(6, rng)
-    lifted = lift_unitary(sp, w)
+    lifted = fock_lift_unitary(sp, w)
     assert np.max(np.abs(lifted.conj().T @ lifted - np.eye(sp.dim))) < 1e-9
     occ = [0, 3, 4]
-    direct = sp.vacuum()
+    direct = vacuum(sp)
     for s in sorted(occ, reverse=True):
         direct = create_orbital(sp, w[:, s]) @ direct
     assert np.max(np.abs(lifted @ slater_vector(sp, occ) - direct)) < 1e-9
@@ -183,7 +191,7 @@ def test_lift_conjugates_creation():
     sp = FockSpace(5)
     rng = np.random.default_rng(5)
     w = haar_unitary(5, rng)
-    lifted = lift_unitary(sp, w)
+    lifted = fock_lift_unitary(sp, w)
     f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     lhs = lifted @ create_orbital(sp, f).toarray() @ lifted.conj().T
     rhs = create_orbital(sp, w @ f).toarray()
@@ -191,7 +199,8 @@ def test_lift_conjugates_creation():
 
 
 def test_lift_matches_minor_loop_bitwise():
-    # reference: every k x k minor gathered one by one, as det W[S'|S]
+    # every k x k minor gathered one by one, as det W[S'|S]: the whole-space lift and the
+    # sector lift of each k give its bits
     m = 8
     sp = FockSpace(m)
     w = haar_unitary(m, np.random.default_rng(9))
@@ -207,20 +216,24 @@ def test_lift_matches_minor_loop_bitwise():
         dets = np.linalg.det(minors.reshape(-1, k, k)).reshape(len(subsets), -1)
         for a, ma in enumerate(masks):
             ref[ma, masks] = dets[a]
-    assert np.array_equal(lift_unitary(sp, w), ref)
+    assert np.array_equal(fock_lift_unitary(sp, w), ref)
+    for k in range(m + 1):
+        masks = Sector(m, k).masks
+        assert np.array_equal(lift_unitary(Sector(m, k), w), ref[np.ix_(masks, masks)]), k
 
 
 def test_lift_rejects_nonunitary():
-    sp = FockSpace(3)
     with pytest.raises(ValueError):
-        lift_unitary(sp, np.ones((3, 3)))
+        lift_unitary(Sector(3, 1), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        lift_unitary(Sector(3, 1), np.eye(4))
 
 
 def test_hamiltonian_single_particle_spectrum():
     g = Grid(1, 8)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
-    block = ring_hamiltonian(FockSpace(8), g, p, pot, 1).toarray()
+    block = ring_hamiltonian(Sector(8, 1), g, p, pot).toarray()
     kin = kinetic_operator(g, p).matrix
     lattice_eigs = np.sort(np.linalg.eigvalsh(kin))
     sector_eigs = np.sort(np.linalg.eigvalsh(block))
@@ -233,7 +246,7 @@ def test_hamiltonian_two_site_two_particle():
     pot = power_law_potential(g, 1.0)
     kin = kinetic_operator(g, p).matrix
     # the 2-particle sector of 2 modes is the one state |{0, 1}>
-    (e,) = ring_hamiltonian(FockSpace(2), g, p, pot, 2).toarray().real.reshape(-1)
+    (e,) = ring_hamiltonian(Sector(2, 2), g, p, pot).toarray().reshape(-1)
     expected = np.trace(kin).real + pot.values.reshape(-1)[1] / 2.0
     assert e == pytest.approx(expected, abs=1e-12)
 
@@ -243,7 +256,7 @@ def test_sector_matches_antisymmetrized_first_quantization():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
-    block = ring_hamiltonian(FockSpace(6), g, p, pot, 2).toarray()
+    block = ring_hamiltonian(Sector(6, 2), g, p, pot).toarray()
 
     kin = kinetic_operator(g, p).matrix
     m = np.arange(6)
@@ -283,13 +296,13 @@ def test_fluctuation_formula_vs_fock_expectation():
     for _ in range(10):
         w = haar_unitary(6, rng)
         omega = w[:, :2] @ w[:, :2].conj().T
-        lift = lift_unitary(sp, w)
+        lift = fock_lift_unitary(sp, w)
         r = lift @ r_base @ lift.conj().T
         psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         psi /= np.linalg.norm(psi)
         chi = r.conj().T @ psi
         direct = float(np.real(np.vdot(chi, nop_diag * chi)))
-        formula = fluctuation_number(gamma1(sp, psi), omega)
+        formula = fluctuation_number(fock_gamma1(sp, psi), omega)
         assert abs(direct - formula) < 1e-10
 
 
@@ -298,15 +311,15 @@ def test_fluctuation_after_exact_evolution():
     g = Grid(1, 6)
     p = ScaledParams(2, 0.5)
     pot = power_law_potential(g, 0.5)
-    space = FockSpace(6)
-    sector = space.sector_masks(2)
-    ham = ring_hamiltonian(space, g, p, pot, 2)
+    space, sector = FockSpace(6), Sector(6, 2)
+    ham = ring_hamiltonian(sector, g, p, pot)
     psi0 = slater_vector(space, [0, 3])
-    snaps = evolve_exact(ham, psi0[sector], 0.05, 10, p.epsilon)
+    snaps = evolve_exact(ham, psi0[sector.masks], 0.05, 10, p.epsilon)
     psi_t = np.zeros(space.dim, dtype=complex)
-    psi_t[sector] = snaps[-1][1]
+    psi_t[sector.masks] = snaps[-1][1]
     assert np.linalg.norm(psi_t) == pytest.approx(1.0, abs=1e-9)
-    gam = gamma1(space, psi_t)
+    gam = fock_gamma1(space, psi_t)
+    assert np.max(np.abs(gamma1(sector, snaps[-1][1]) - gam)) <= 1e-14
     omega = np.diag([1.0, 0, 0, 1.0, 0, 0]).astype(complex)
     r = particle_hole(space, [0, 3]).toarray()
     chi = r.conj().T @ psi_t
@@ -315,15 +328,16 @@ def test_fluctuation_after_exact_evolution():
 
 
 def test_gamma1_bounds_and_trace():
-    sp = FockSpace(5)
     rng = np.random.default_rng(8)
-    psi = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-    psi /= np.linalg.norm(psi)
-    gam = gamma1(sp, psi)
-    eigs = np.linalg.eigvalsh(gam)
-    assert np.all(eigs >= -1e-12) and np.all(eigs <= 1.0 + 1e-12)
-    n_expect = float(np.real(np.vdot(psi, sp.occupations() * psi)))
-    assert np.trace(gam).real == pytest.approx(n_expect, abs=1e-10)
+    for n in range(6):
+        sector = Sector(5, n)
+        psi = rng.standard_normal(len(sector.masks)) + 1j * rng.standard_normal(len(sector.masks))
+        psi /= np.linalg.norm(psi)
+        gam = gamma1(sector, psi)
+        assert np.max(np.abs(gam - gam.conj().T)) <= 1e-15, n
+        eigs = np.linalg.eigvalsh(gam)
+        assert np.all(eigs >= -1e-12) and np.all(eigs <= 1.0 + 1e-12), n
+        assert np.trace(gam).real == pytest.approx(n, abs=1e-12)
 
 
 def test_bound_audit_no_violations():
@@ -471,7 +485,7 @@ def test_sector_annihilators_reassemble_dense():
         op = loop_annihilator(sp, i)
         dense = np.zeros((sp.dim, sp.dim))
         for n in range(1, 6):
-            dense[np.ix_(sp.sector_masks(n - 1), sp.sector_masks(n))] = blocks[n][i]
+            dense[np.ix_(Sector(5, n - 1).masks, Sector(5, n).masks)] = blocks[n][i]
         assert np.array_equal(dense, op.toarray())
 
 
@@ -608,11 +622,11 @@ def test_exact_evolution_on_a_sector_block_matches_the_full_space():
     space, p, ham, psi = ring_case(6)
     g = Grid(1, 6)
     for n in (1, 2, 3):
-        sector = space.sector_masks(n)
+        sector = Sector(6, n).masks
         psi0 = np.zeros_like(psi)
         psi0[sector] = psi[sector] / np.linalg.norm(psi[sector])
         full = evolve_exact(ham, psi0, 1e-2, 100, p.epsilon, 25)
-        block = ring_hamiltonian(space, g, p, power_law_potential(g, 0.5), n)
+        block = ring_hamiltonian(Sector(6, n), g, p, power_law_potential(g, 0.5))
         for (t, psi_t), (s, chi_t) in zip(full, evolve_exact(block, psi0[sector], 1e-2, 100,
                                                              p.epsilon, 25)):
             assert t == s
@@ -694,8 +708,9 @@ def test_ring_hamiltonian_matches_loop_build(m):
     space = FockSpace(m)
     ref = loop_hamiltonian(space, kinetic_operator(g, p).matrix, pair_v, p.coupling).toarray()
     for n in range(m + 1):
-        masks = space.sector_masks(n)
-        block, expected = ring_hamiltonian(space, g, p, pot, n).toarray(), ref[np.ix_(masks, masks)]
+        masks = Sector(m, n).masks
+        block = ring_hamiltonian(Sector(m, n), g, p, pot).toarray()
+        expected = ref[np.ix_(masks, masks)]
         off = ~np.eye(len(masks), dtype=bool)
         assert np.array_equal(block[off], expected[off]), n
         assert np.max(np.abs(np.diag(block) - np.diag(expected))) <= 1e-14, n
@@ -706,41 +721,36 @@ def test_ring_hamiltonian_is_hermitian(m):
     g = Grid(1, m)
     p = ScaledParams(2, 0.5)
     for n in range(m + 1):
-        ham = ring_hamiltonian(FockSpace(m), g, p, power_law_potential(g, 0.5), n)
-        assert ham.shape == (math.comb(m, n),) * 2
+        ham = ring_hamiltonian(Sector(m, n), g, p, power_law_potential(g, 0.5))
+        assert ham.shape == (math.comb(m, n),) * 2 and ham.dtype == np.float64
         assert np.max(np.abs((ham - ham.conj().T).toarray()), initial=0.0) <= 1e-15, n
 
 
 def test_ring_hamiltonian_rejects_a_space_of_another_size():
     g = Grid(1, 6)
     with pytest.raises(ValueError):
-        ring_hamiltonian(FockSpace(8), g, ScaledParams(2, 0.5), power_law_potential(g, 0.5), 2)
+        ring_hamiltonian(Sector(8, 2), g, ScaledParams(2, 0.5), power_law_potential(g, 0.5))
 
 
-def test_fluctuation_ring_run_builds_one_annihilator_stack(monkeypatch):
+def test_fluctuation_ring_run_builds_no_fock_space(monkeypatch):
+    # the ring run's H, gamma1 and identity check all live on its Sector
     builds = []
-    build = FockSpace.annihilators.func
-
-    def counted(space):
-        builds.append(space.n_modes)
-        return build(space)
-
-    stack = functools.cached_property(counted)
-    stack.__set_name__(FockSpace, "annihilators")
-    monkeypatch.setattr(FockSpace, "annihilators", stack)
+    monkeypatch.setattr(FockSpace, "__post_init__", lambda space: builds.append(space.n_modes))
     fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
-    assert builds == [8]
+    assert builds == []
+    FockSpace(3)
+    assert builds == [3]  # the spy sees a construction
 
 
 def test_created_slater_state_lives_in_its_sector():
-    # the ring run keeps only psi[sector] of its create_orbital start state
+    # a create_orbital product of N orbitals has no amplitude outside the N-particle sector
     sp = FockSpace(6)
     w = haar_unitary(6, np.random.default_rng(15))
-    psi = sp.vacuum()
+    psi = vacuum(sp)
     for j in (2, 1, 0):
         psi = create_orbital(sp, w[:, j]) @ psi
     outside = np.ones(sp.dim, dtype=bool)
-    outside[sp.sector_masks(3)] = False
+    outside[Sector(6, 3).masks] = False
     assert np.all(psi[outside] == 0.0)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -758,3 +768,107 @@ def test_fluctuation_ring_run_evolves_the_sector_amplitudes(monkeypatch):
     run = fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
     assert lengths == [((28, 28), (28,))]
     assert run["identity_err"] < 1e-10
+
+
+def test_fluctuation_ring_run_starts_from_the_created_slater(monkeypatch):
+    # the run's det f_j(s_k) amplitudes are the create_orbital product a*(f_0) a*(f_1) Omega
+    starts = []
+    real = fock.evolve_exact
+
+    def spy(ham, psi, *args):
+        starts.append(psi)
+        return real(ham, psi, *args)
+
+    monkeypatch.setattr(fock, "evolve_exact", spy)
+    fluctuation_ring_run(8, 2, 0.5, 1e-3, 0.05, 2 * np.pi, 2)
+    grid = Grid(1, 8, 2 * np.pi)
+    sp = FockSpace(8)
+    created = vacuum(sp)
+    for mv in reversed(lowest_modes(grid, 2)):
+        mode = np.sqrt(grid.cell_volume) * plane_wave(grid, mv).values
+        created = create_orbital(sp, mode) @ created
+    assert np.max(np.abs(starts[0] - created[Sector(8, 2).masks])) <= 1e-15
+
+
+# The sector layer against the whole Fock space it replaces in the ring run.
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sector_masks_match_the_full_space(m):
+    sp = FockSpace(m)
+    for n in range(m + 1):
+        sector = Sector(m, n)
+        masks = np.nonzero(sp.occupations() == n)[0]
+        assert np.array_equal(sector.masks, masks), n
+        assert np.array_equal(sector.bits, sp.bits[masks]), n
+        assert np.array_equal(sector.occupied, [np.nonzero(row)[0] for row in sector.bits]), n
+        tables = (sector.occupied, sector.masks, sector.bits) + sector.hops
+        assert not any(table.flags.writeable for table in tables), n
+
+
+def test_sector_rejects_sizes_its_masks_cannot_hold():
+    # int64 bitmasks hold 63 modes; 1 << 63 would wrap to a negative mask
+    assert Sector(63, 1).masks[-1] == 1 << 62
+    for m, n in ((64, 1), (3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            Sector(m, n)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_sector_gamma1_matches_the_full_space(m):
+    # unnormalised amplitudes of size about 1e2, embedded in the 2^m vector
+    sp = FockSpace(m)
+    rng = np.random.default_rng(m)
+    for n in range(m + 1):
+        sector = Sector(m, n)
+        dim = len(sector.masks)
+        psi = 1e2 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        full = np.zeros(sp.dim, dtype=complex)
+        full[sector.masks] = psi
+        ref = fock_gamma1(sp, full)
+        assert np.max(np.abs(gamma1(sector, psi) - ref)) <= 1e-14 * np.max(np.abs(ref)), n
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_sector_identity_matches_the_full_space(m):
+    # <psi, R_W N R_W^* psi> for R_W = Gamma(W) R Gamma(W)^*: on all 2^m states through the
+    # whole-space lift and particle-hole map, and on the sector as the ring run takes it,
+    # sum_S |(Gamma_N(W)^* psi)_S|^2 |S xor S_0|
+    sp = FockSpace(m)
+    rng = np.random.default_rng(20 + m)
+    for n in range(1, m):
+        sector = Sector(m, n)
+        w = haar_unitary(m, rng)
+        psi = rng.standard_normal(len(sector.masks)) + 1j * rng.standard_normal(len(sector.masks))
+        psi /= np.linalg.norm(psi)
+        full = np.zeros(sp.dim, dtype=complex)
+        full[sector.masks] = psi
+        lift = fock_lift_unitary(sp, w)
+        chi = lift @ (particle_hole(sp, range(n)).toarray().T @ (lift.conj().T @ full))
+        expected = float(np.real(np.vdot(chi, sp.occupations() * chi)))
+        flips = [bin(mask ^ ((1 << n) - 1)).count("1") for mask in sector.masks]
+        got = float(np.abs(lift_unitary(sector, w).conj().T @ psi) ** 2 @ flips)
+        assert abs(got - expected) <= 1e-14, n
+
+
+def test_sector_ring_past_the_mode_cap():
+    # four particles on sixteen sites: 1820 amplitudes, where a FockSpace stops at 12 modes
+    with pytest.raises(ValueError):
+        FockSpace(16)
+    g = Grid(1, 16)
+    p = ScaledParams(4, 0.5)
+    sector = Sector(16, 4)
+    ham = ring_hamiltonian(sector, g, p, power_law_potential(g, 0.5))
+    assert ham.shape == (1820, 1820) and ham.dtype == np.float64
+    assert np.max(np.abs((ham - ham.T).toarray())) <= 1e-15
+    modes = np.sqrt(g.cell_volume) * np.array([plane_wave(g, mv).values
+                                               for mv in lowest_modes(g, 4)])
+    psi = np.linalg.det(modes.T[sector.occupied])
+    (_, start), (_, psi_t) = evolve_exact(ham, psi, 1e-2, 10, p.epsilon)
+    for amplitudes in (start, psi_t):
+        gam = gamma1(sector, amplitudes)
+        # tr gamma1 = N |psi|^2, whatever the flow's rounding does to |psi|
+        assert np.trace(gam).real == pytest.approx(4.0 * np.vdot(amplitudes, amplitudes).real,
+                                                   abs=1e-12)
+        assert np.vdot(amplitudes, amplitudes).real == pytest.approx(1.0, abs=1e-11)
+        assert np.max(np.abs(gam - gam.conj().T)) <= 1e-14
