@@ -53,12 +53,17 @@ def _write_manifest(out: Path, entries: list) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _config(cfg: RunConfig) -> dict:
+    """The manifest's config: the preset, its seed and the fields its run takes, no more."""
+    return {"scenario": cfg.scenario, "seed": cfg.seed, **cfg.fields}
+
+
 def _result_entry(cfg: RunConfig, result) -> dict:
     # everything here is a function of (config, seed): wall times and other
     # run-to-run values belong beside "runs", which must stay comparable
     return {
-        "scenario": result.name,
-        "config": dataclasses.asdict(cfg),
+        "scenario": cfg.scenario,
+        "config": _config(cfg),
         "passed": result.passed,
         "checks": _jsonable(
             [{**dataclasses.asdict(c), "passed": c.passed} for c in result.checks]
@@ -70,7 +75,7 @@ def _result_entry(cfg: RunConfig, result) -> dict:
 
 def _error_entry(cfg: RunConfig, exc: Exception) -> dict:
     """The manifest entry of a preset that raised instead of returning a result."""
-    return {"scenario": cfg.scenario, "config": dataclasses.asdict(cfg), "passed": False,
+    return {"scenario": cfg.scenario, "config": _config(cfg), "passed": False,
             "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -113,7 +118,7 @@ def cmd_run(args) -> int:
         return 1
     _write_manifest(out, [_result_entry(cfg, result)])
     status = "PASS" if result.passed else "FAIL"
-    print(f"{result.name}: {status}")
+    print(f"{cfg.scenario}: {status}")
     for c in result.checks:
         print(f"  {c.name}: {c.value} {c.relation} {c.bound} {'ok' if c.passed else 'FAILED'}")
     for key, val in result.report.items():

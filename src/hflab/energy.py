@@ -127,13 +127,17 @@ def energy_report(state: SlaterState, potential: PowerLawPotential) -> EnergyRep
     )
 
 
-def conservation_transfer_audit(snapshots, potential: PowerLawPotential) -> float:
+def conservation_transfer_audit(snapshots, potential: PowerLawPotential) -> tuple:
     """Along an HF run: ||rho_t||_{5/3}^{5/3} <= C * eps^-2 E_HF(omega_0).
 
     C is the time-zero measured ratio; the audit checks the bound with a
     multiplicative margin 1.2 at every snapshot.  It returns the excess, the worst
-    `ratio_t - 1.2 * ratio_0`, and the bound holds while it is <= 1e-12.
+    `ratio_t - 1.2 * ratio_0`, and the bound holds while it is <= 1e-12.  Since the
+    ratio falls, the excess is -0.2 ratio_0 whatever the run; the second value, the
+    largest `ratio_t / ratio_0` over the snapshots after the first, measures the run.
     """
+    if len(snapshots) < 2:
+        raise ValueError("the transfer audit needs a snapshot after the initial one")
     ratios = []
     e0 = None
     for _, st in snapshots:
@@ -143,7 +147,7 @@ def conservation_transfer_audit(snapshots, potential: PowerLawPotential) -> floa
         val = field_lp_norm(rho, 5.0 / 3.0) ** (5.0 / 3.0)
         ratios.append(val * st.params.epsilon**2 / e0)
     ratios = np.asarray(ratios)
-    return float(np.max(ratios - ratios[0] * 1.2))
+    return float(np.max(ratios - ratios[0] * 1.2)), float(np.max(ratios[1:] / ratios[0]))
 
 
 def report_to_csv_row(report: EnergyReport) -> list:

@@ -1,12 +1,12 @@
-import dataclasses
+import inspect
 import json
 import math
 
 import pytest
 
 from hflab import scenarios
-from hflab.cli import _load_config, main
-from hflab.scenarios import SCENARIOS, Check, RunConfig, Scenario, build_config, run_scenario
+from hflab.cli import _config, _jsonable, _load_config, main
+from hflab.scenarios import FIELDS, SCENARIOS, Check, Scenario, build_config, run_scenario
 
 
 def test_config_round_trip_bit_exact(tmp_path):
@@ -16,7 +16,8 @@ def test_config_round_trip_bit_exact(tmp_path):
     assert main(first) == 0
     manifest = json.loads((tmp_path / "a" / "fdl-verify" / "manifest.json").read_text())
     text = json.dumps(manifest["runs"][0]["config"])
-    assert text == json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    assert text == json.dumps({"scenario": "fdl-verify", "seed": 99})
+    assert json.loads(text) == _config(cfg)
     config = tmp_path / "config.json"
     config.write_text(text)
     assert _load_config(str(config), None, None) == cfg
@@ -44,10 +45,11 @@ def test_preset_table():
     assert len(SCENARIOS) >= 8
     for name, preset in SCENARIOS.items():
         assert callable(preset.run) and preset.description
-        assert build_config(name) == build_config(name, overrides=preset.defaults)
-    # documented defaults of the two-body probe
-    cfg = build_config("hf-vs-exact-n2")
-    assert cfg.n_particles == 2 and cfg.m == 64 and cfg.dim == 1
+        cfg = build_config(name)
+        assert build_config(name, overrides=cfg.fields) == cfg
+    # documented defaults of the two-body probe, whose grid is 1d by construction
+    fields = build_config("hf-vs-exact-n2").fields
+    assert fields["n_particles"] == 2 and fields["m"] == 64 and "dim" not in fields
 
 
 def test_cli_list_scenarios(capsys):
@@ -141,7 +143,7 @@ def test_verify_rejects_unknown_name_before_running(tmp_path, capsys):
 
 
 def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
-    def crash(cfg):
+    def crash():
         raise RuntimeError("Chebyshev propagator needs degree 60")
 
     monkeypatch.setitem(SCENARIOS, "fermi-ball-1d", Scenario(crash, "crashes"))
@@ -162,7 +164,7 @@ def test_verify_records_crashed_scenario(tmp_path, monkeypatch, capsys):
 def test_run_records_crashed_scenario(tmp_path, monkeypatch, capsys):
     # a preset that raises RuntimeError failed its run (exit 1), which is not a
     # configuration error (exit 2); run writes the manifest entry verify writes
-    def crash(cfg):
+    def crash():
         raise RuntimeError("Chebyshev propagator needs degree 60")
 
     monkeypatch.setitem(SCENARIOS, "fdl-verify", Scenario(crash, "crashes"))
@@ -244,7 +246,7 @@ def test_config_file_starts_from_preset_defaults(tmp_path):
     # file fields win over the preset, --seed over both
     config.write_text(json.dumps({"scenario": "fermi-ball-1d", "m": 32, "seed": 3}))
     cfg = _load_config(str(config), None, 9)
-    assert (cfg.m, cfg.n_particles, cfg.seed) == (32, 8, 9)
+    assert (cfg.fields["m"], cfg.fields["n_particles"], cfg.seed) == (32, 8, 9)
 
 
 def test_ring_config_runs_at_preset_alpha(tmp_path):
@@ -287,7 +289,13 @@ def test_exact_probe_rejects_other_particle_numbers(tmp_path, capsys):
     [("fermi-ball-3d", "m", 16), ("fermi-ball-3d", "n_particles", 4), ("window-audit", "dim", 2),
      ("window-audit", "n_particles", 4), ("energy-audit", "m", 16), ("gaussian-packets", "m", 128),
      ("hf-vs-exact-n2", "alpha", 0.5), ("hf-vs-exact-n3", "alpha", 0.25),
-     ("fluctuation-ring", "m", 16), ("fluctuation-ring", "n_particles", 3)],
+     ("fluctuation-ring", "m", 16), ("fluctuation-ring", "n_particles", 3),
+     # fields that reached no output of these presets
+     ("window-audit", "alpha", 0.75), ("window-audit", "epsilon_override", 0.37),
+     ("window-audit", "lp_exponent", 3.0), ("gaussian-packets", "alpha", 0.75),
+     ("fermi-ball-1d", "delta", 0.2),
+     # an override at the global default of a field the preset does not take
+     ("fermi-ball-3d", "dim", 1), ("fdl-verify", "m", 64)],
 )
 def test_run_rejects_overrides_the_preset_ignores(tmp_path, capsys, scenario, field, value):
     config = tmp_path / "ignored.json"
@@ -299,12 +307,63 @@ def test_run_rejects_overrides_the_preset_ignores(tmp_path, capsys, scenario, fi
 
 
 def test_declared_fields_are_config_fields():
-    # an override equal to the preset default is no change, so a full config round-trips
-    names = {f.name for f in dataclasses.fields(RunConfig)}
+    # every keyword parameter of a run is a config field with a default, and the
+    # manifest's config, fed back as overrides, is the same config
     for name, preset in SCENARIOS.items():
-        assert set(preset.honours.split()) <= names - {"scenario", "seed"}
-        full = dataclasses.asdict(build_config(name, seed=4))
+        parameters = inspect.signature(preset.run).parameters.values()
+        assert all(p.name in FIELDS and p.default is not p.empty for p in parameters), name
+        full = _config(build_config(name, seed=4))
         assert build_config(full.pop("scenario"), overrides=full) == build_config(name, seed=4)
+
+
+def test_manifest_config_lists_the_fields_a_run_takes():
+    for name, preset in SCENARIOS.items():
+        cfg = build_config(name, seed=3)
+        keys = {"scenario", "seed"} | set(inspect.signature(preset.run).parameters)
+        assert set(_config(cfg)) == keys, name
+        assert _config(cfg)["seed"] == 3
+
+
+def test_fixed_grid_rejects_the_global_defaults(tmp_path, capsys):
+    # fermi-ball-3d runs 3d m8 N7: a file naming the old global defaults was once recorded
+    # as the run's config though none of it was used
+    config = tmp_path / "defaults.json"
+    config.write_text(json.dumps({"dim": 1, "m": 64, "n_particles": 8}))
+    args = ["run", "--scenario", "fermi-ball-3d", "--config", str(config), "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "config fields ['dim', 'm', 'n_particles']" in capsys.readouterr().err
+    assert not (tmp_path / "fermi-ball-3d").exists()
+
+
+def _moved(field, default):
+    """A valid value of `field` off the preset's `default`."""
+    if field == "n_particles":
+        return 5 - default if default in (2, 3) else 4  # the exact probes take 2 or 3
+    return {"dim": 2, "m": 32, "length": 7.0, "alpha": 0.75, "epsilon_override": 0.37,
+            "dt": 5e-4, "t_final": 0.03, "snapshot_stride": 3, "delta": 0.2,
+            "lp_exponent": 3.0}[field]
+
+
+def test_every_parameter_reaches_an_output():
+    # a field a preset takes must move a CSV cell, a check value or the report;
+    # both sides run to t = 0.02 on 16 sites where the preset takes them
+    def outputs(run, **fields):
+        result = run(**fields)
+        values = [c.value for c in result.checks]
+        return json.dumps(_jsonable([result.tables, values, result.report]))
+
+    silent = []
+    for name, preset in SCENARIOS.items():
+        parameters = inspect.signature(preset.run).parameters
+        base = {k: v for k, v in {"t_final": 0.02, "m": 16}.items() if k in parameters}
+        reference = outputs(preset.run, **base)
+        for field, p in parameters.items():
+            if field == "seed":
+                continue
+            moved = {**base, field: _moved(field, base.get(field, p.default))}
+            if outputs(preset.run, **moved) == reference:
+                silent.append(f"{name}.{field}")
+    assert silent == []
 
 
 def test_energy_audit_rounds_its_step_count(monkeypatch):
@@ -317,5 +376,5 @@ def test_energy_audit_rounds_its_step_count(monkeypatch):
         return real(state, potential, dt, n_steps, *args)
 
     monkeypatch.setattr(scenarios, "run_hf", spy)
-    scenarios.scenario_energy_audit(build_config("energy-audit", overrides={"t_final": 0.043}))
+    scenarios.scenario_energy_audit(t_final=0.043)
     assert steps == [43]

@@ -186,7 +186,15 @@ def test_conservation_transfer_along_run():
     pot = power_law_potential(g, 0.5)
     st = packet_slater(g, p)
     snaps, _ = run_hf(st, pot, 1e-3, 200, 50)
-    assert conservation_transfer_audit(snaps, pot) <= 1e-12
+    excess, peak = conservation_transfer_audit(snaps, pot)
+    assert excess <= 1e-12
+    # the ratio falls, so the excess is -0.2 ratio_0 at any length of run; the peak
+    # after t = 0 is below 1 and moves with the snapshots the run keeps
+    assert excess < 0 and 0.5 < peak < 1.0
+    first_last = conservation_transfer_audit([snaps[0], snaps[-1]], pot)
+    assert first_last == (excess, pytest.approx(0.7, abs=0.01))
+    with pytest.raises(ValueError, match="after the initial one"):
+        conservation_transfer_audit(snaps[:1], pot)
 
 
 def test_csv_row_shape():
