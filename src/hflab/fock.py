@@ -101,24 +101,20 @@ class Sector:
     @cached_property
     def hops(self) -> tuple:
         """(state, a, b, sign, target): a_b^* a_a |state> = sign |target> for every occupied a
-        and empty b, sign = (-1)^(below(a) + below(b) - [a < b]), below = cumsum(bits) - bits.
-        Kept as int32 state indices and int8 modes and signs, 11 bytes a hop instead of 40;
-        the build still holds the int64 indices `np.nonzero` returns."""
+        and empty b, sign = (-1)^(below(a) + below(b) - [a < b]), below = cumsum(bits) - bits."""
         masks, bits = self.masks, self.bits
         below = np.cumsum(bits, axis=1) - bits
         state, a, b = np.nonzero(bits[:, :, None] > bits[:, None, :])
-        sign = (1 - 2 * ((below[state, a] + below[state, b] - (a < b)) % 2)).astype(np.int8)
-        target = np.searchsorted(masks, masks[state] ^ (1 << a) ^ (1 << b)).astype(np.int32)
-        tables = (state.astype(np.int32), a.astype(np.int8), b.astype(np.int8), sign, target)
-        return tuple(_read_only(x) for x in tables)
+        sign = 1 - 2 * ((below[state, a] + below[state, b] - (a < b)) % 2)
+        target = np.searchsorted(masks, masks[state] ^ (1 << a) ^ (1 << b))
+        return tuple(_read_only(x) for x in (state, a, b, sign, target))
 
 
 def gamma1(sector: Sector, psi: np.ndarray) -> np.ndarray:
     """One-particle reduced density gamma_ab = <psi, a_b^* a_a psi> of sector amplitudes psi:
     sign conj(psi[target]) psi[state] summed over the hops, |psi|^2 @ bits on the diagonal."""
     (state, a, b, sign, target), m = sector.hops, sector.n_modes
-    # in intp: int8 times a Python int stays int8 (numpy 1.24 and 2.x) and wraps once m^2 > 128
-    terms, pairs = sign * np.conj(psi[target]) * psi[state], a.astype(np.intp) * m + b
+    terms, pairs = sign * np.conj(psi[target]) * psi[state], a * m + b
     flat = np.bincount(pairs, terms.real, m * m) + 1j * np.bincount(pairs, terms.imag, m * m)
     return flat.reshape(m, m) + np.diag(np.abs(psi) ** 2 @ sector.bits)
 

@@ -63,9 +63,9 @@ FIELDS = {
 TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None))}
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunConfig:
-    """A preset, its seed and the values bound to its run's other keyword parameters."""
+    """A preset, its seed and the values bound to its run's keyword parameters."""
 
     scenario: str
     seed: int
@@ -431,17 +431,17 @@ def build_config(scenario: str, seed: int | None = None,
     ignored = sorted(set(given) - set(parameters) - {"seed"})
     if ignored:
         raise ValueError(f"{scenario} does not honour config fields {ignored}: fixed by the preset")
-    fields = {"seed": SEED, **{name: p.default for name, p in parameters.items()}, **given}
-    return RunConfig(scenario, fields.pop("seed"), fields)
+    fields = {name: given.get(name, p.default) for name, p in parameters.items()}
+    if "dt" in fields and int(round(fields["t_final"] / fields["dt"])) < 1:
+        raise ValueError("config fields dt and t_final must give at least one step")
+    return RunConfig(scenario, given.get("seed", SEED), fields)
 
 
 def run_scenario(cfg: RunConfig, out_dir) -> ScenarioResult:
     """Runs the preset of `cfg` and writes each of its tables into `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = SCENARIOS[cfg.scenario].run
-    seed = {"seed": cfg.seed} if "seed" in inspect.signature(run).parameters else {}
-    result = run(**cfg.fields, **seed)
+    result = SCENARIOS[cfg.scenario].run(**cfg.fields)
     for name, (header, rows) in result.tables.items():
         write_table(out / name, header, rows)
     return result

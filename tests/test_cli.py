@@ -335,6 +335,20 @@ def test_fixed_grid_rejects_the_global_defaults(tmp_path, capsys):
     assert not (tmp_path / "fermi-ball-3d").exists()
 
 
+@pytest.mark.parametrize("overrides", [{"t_final": 1e-4}, {"dt": 5.0}])
+def test_run_rejects_a_flow_of_no_steps(tmp_path, capsys, overrides):
+    # t_final < dt / 2 rounds to zero steps, which no preset's flow can report on
+    for name, preset in SCENARIOS.items():
+        if "dt" in inspect.signature(preset.run).parameters:
+            with pytest.raises(ValueError, match="at least one step"):
+                build_config(name, overrides=overrides)
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"scenario": "energy-audit", **overrides}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not (tmp_path / "energy-audit").exists()
+
+
 def _moved(field, default):
     """A valid value of `field` off the preset's `default`."""
     if field == "n_particles":

@@ -851,24 +851,6 @@ def test_sector_identity_matches_the_full_space(m):
         assert abs(got - expected) <= 1e-14, n
 
 
-@pytest.mark.parametrize("m, n", [(8, 2), (16, 4)])
-def test_narrow_hop_tables_match_int64(m, n):
-    # int32 states and int8 modes and signs; the pair index a * m + b would wrap in int8
-    # once m^2 > 128, so H and gamma1 must equal their builds on int64 tables bit for bit
-    narrow, wide = Sector(m, n), Sector(m, n)
-    assert [x.dtype for x in narrow.hops] == [np.int32, np.int8, np.int8, np.int8, np.int32]
-    wide.__dict__["hops"] = tuple(x.astype(np.int64) for x in narrow.hops)
-    g = Grid(1, m)
-    p = ScaledParams(n, 0.5)
-    pot = power_law_potential(g, 0.5)
-    built = [ring_hamiltonian(sector, g, p, pot) for sector in (narrow, wide)]
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(built[0], part), getattr(built[1], part)), part
-    rng = np.random.default_rng(m)
-    psi = rng.standard_normal(len(narrow.masks)) + 1j * rng.standard_normal(len(narrow.masks))
-    assert np.array_equal(gamma1(narrow, psi), gamma1(wide, psi))
-
-
 def test_sector_ring_past_the_mode_cap():
     # four particles on sixteen sites: 1820 amplitudes, where a FockSpace stops at 12 modes
     with pytest.raises(ValueError):
